@@ -20,8 +20,16 @@ tree is its modular decomposition:
   maximal strong module containing ``v``, so the union of all proper
   closures from ``v`` *is* that child.
 
-Complexity is O(n^3) worst case, comfortably fast for the testbed's graph
-sizes.  Two interchangeable backends produce the identical tree:
+Primitive clans cost the most: one closure per (v, u) pair.  The same
+lemma says when a closure may stop early.  Once a closure from ``v``
+reaches a vertex known to lie outside ``v``'s maximal strong module, it is
+not inside that module, so it is the whole clan.  The known-outside
+vertices are those of earlier children and every earlier ``u`` whose
+closure was the whole clan.  The bitset backend stops such a closure there
+and does not grow it to the full set; the numpy backend, kept as the
+reference, grows every closure.
+
+Two interchangeable backends produce the identical tree:
 
 * the original numpy implementation, whose inner loops are vectorized over
   the int8 relation matrix; and
@@ -313,6 +321,13 @@ def _primitive_children_bits(br: _BitRelations, subset: int) -> list[int]:
     ``(anc[w] & anc[v]) | (desc[w] & desc[v]) | (unrel[w] & unrel[v])``.
     The closures for every ``u`` under the same ``v`` then reduce to one OR
     per newly joined vertex per wave.
+
+    ``outside`` collects the vertices known to lie outside ``v``'s maximal
+    strong module: earlier parts, and every ``u`` whose closure was the
+    whole clan.  A closure that reaches one of them is the whole clan (see
+    :func:`_smallest_module_bits`), so it stops there.  No closure therefore
+    grows through an earlier part, and ``diffs`` is only filled for the
+    vertices not yet assigned to a part.
     """
     parts: list[int] = []
     assigned = 0
@@ -320,30 +335,30 @@ def _primitive_children_bits(br: _BitRelations, subset: int) -> list[int]:
     desc = br.desc
     unrel = br.unrel
     diffs = [0] * br.n
-    sv = subset
-    while sv:
-        vbit = sv & -sv
-        sv ^= vbit
-        if assigned & vbit:
-            continue
+    while assigned != subset:
+        rest = subset & ~assigned
+        vbit = rest & -rest
         v = vbit.bit_length() - 1
         av, dv, uv = anc[v], desc[v], unrel[v]
-        m = subset
+        m = rest
         while m:
             lsb = m & -m
             z = lsb.bit_length() - 1
             diffs[z] = ~((anc[z] & av) | (desc[z] & dv) | (unrel[z] & uv))
             m ^= lsb
         member = vbit
-        su = subset
+        outside = assigned
+        su = rest ^ vbit
         while su:
             ubit = su & -su
             su ^= ubit
-            if ubit == vbit or member & ubit or assigned & ubit:
+            if member & ubit:
                 continue
-            closure = _smallest_module_bits(subset, vbit, ubit, diffs)
+            closure = _smallest_module_bits(subset, vbit, ubit, diffs, outside)
             if closure != subset:  # proper: lies inside v's maximal module
                 member |= closure
+            else:
+                outside |= ubit
         parts.append(member)
         assigned |= member
     if len(parts) < 2:
@@ -353,7 +368,9 @@ def _primitive_children_bits(br: _BitRelations, subset: int) -> list[int]:
     return parts
 
 
-def _smallest_module_bits(subset: int, vbit: int, ubit: int, diffs: list[int]) -> int:
+def _smallest_module_bits(
+    subset: int, vbit: int, ubit: int, diffs: list[int], outside: int
+) -> int:
     """Smallest module (within ``subset``) containing ``vbit`` and ``ubit``.
 
     Same wave-batched closure as the numpy :func:`_smallest_module`:
@@ -361,6 +378,11 @@ def _smallest_module_bits(subset: int, vbit: int, ubit: int, diffs: list[int]) -
     them differs from its (uniform) relation to the seed becomes a splitter
     and joins in the next wave.  ``diffs`` holds the precomputed per-vertex
     splitter masks (see :func:`_primitive_children_bits`).
+
+    ``outside`` holds vertices known to lie outside the maximal strong
+    module of ``vbit``.  A closure that reaches one of them contains that
+    vertex and ``vbit``, so by the module docstring's lemma it is the whole
+    clan: it returns ``subset`` at once instead of growing to it.
     """
     member = vbit | ubit
     new = ubit
@@ -372,6 +394,8 @@ def _smallest_module_bits(subset: int, vbit: int, ubit: int, diffs: list[int]) -
             splitters |= diffs[lsb.bit_length() - 1]
             m ^= lsb
         add = splitters & subset & ~member
+        if add & outside:
+            return subset
         member |= add
         new = add
         if member == subset:

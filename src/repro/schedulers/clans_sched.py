@@ -73,6 +73,24 @@ class _Quotient:
     comm_out: list[float]  # heaviest direct message to outside the clan
     succ: list[dict[int, float]]  # quotient edges with heaviest member edge
     pred: list[dict[int, float]]
+    #: static priority: communication-free longest path to a quotient sink
+    blevel: list[float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.costs)
+        blevel = [0.0] * n
+        indeg_out = [len(self.succ[i]) for i in range(n)]
+        stack = [i for i in range(n) if indeg_out[i] == 0]
+        while stack:
+            i = stack.pop()
+            blevel[i] = self.costs[i] + max(
+                (blevel[j] for j in self.succ[i]), default=0.0
+            )
+            for p in self.pred[i]:
+                indeg_out[p] -= 1
+                if indeg_out[p] == 0:
+                    stack.append(p)
+        self.blevel = blevel
 
 
 @dataclass
@@ -184,6 +202,15 @@ class ClansScheduler(Scheduler):
         makespan-vs-k curve is effectively convex), with full
         parallelization always evaluated.  With the speedup check disabled
         the grouping is forced fully parallel.
+
+        The quotient, b-levels included, is built once per clan and shared
+        by every ``k``.  A schedule that leaves a processor idle ends the
+        scan early: processor 0 always
+        takes the first child, so ``len(groups) < k`` means processor
+        ``k - 1`` was never opened, and with more processors every step
+        would scan and choose exactly as it did (see :meth:`_mini_schedule`).
+        Every larger ``k``, full parallelization included, gives this same
+        schedule, which cannot beat ``best``.
         """
         q = self._quotient(node, ctx)
         n = len(q.costs)
@@ -198,8 +225,10 @@ class ClansScheduler(Scheduler):
                 stale = 0
             else:
                 stale += 1
-                if stale >= 2:
-                    break
+            if len(cand.groups) < k:
+                return best
+            if stale >= 2:
+                break
         if n > 1:
             cand = self._mini_schedule(q, n)
             if cand.cost < best.cost - 1e-12:
@@ -210,61 +239,69 @@ class ClansScheduler(Scheduler):
     def _mini_schedule(q: _Quotient, k: int) -> GroupDecision:
         """ETF-style list schedule of the quotient on ``k`` processors.
 
-        Returns the grouping (per-processor child order) and the estimated
-        completion cost including external communication of the non-local
-        processors.
+        Each step places the ready child and processor with the smallest
+        ``(start, -blevel, processor, child)`` key.  Returns the grouping
+        (per-processor child order) and the estimated completion cost
+        including external communication of the non-local processors.
+
+        Two facts keep a step cheap without changing its choice:
+
+        * A ready child's predecessors are all placed, so its data-ready
+          time on each processor is fixed when it becomes ready and is
+          computed once then (:func:`_data_ready`).
+        * Only processor 0, the non-local processors in use and the first
+          empty one are scanned.  An empty non-local processor holds none
+          of a child's predecessors, so every empty one offers the same
+          start and the lowest index wins the tie.  Hence the non-local
+          processors in use are always ``1..top`` and the first empty one
+          is ``top + 1``.
         """
         n = len(q.costs)
-        # static priority: communication-free longest path to a quotient sink
-        blevel = [0.0] * n
-        indeg_out = [len(q.succ[i]) for i in range(n)]
-        stack = [i for i in range(n) if indeg_out[i] == 0]
-        while stack:
-            i = stack.pop()
-            blevel[i] = q.costs[i] + max(
-                (blevel[j] for j in q.succ[i]), default=0.0
-            )
-            for p in q.pred[i]:
-                indeg_out[p] -= 1
-                if indeg_out[p] == 0:
-                    stack.append(p)
-
+        blevel = q.blevel
         proc_free = [0.0] * k
         proc_of = [-1] * n
         finish = [0.0] * n
         groups: list[list[int]] = [[] for _ in range(k)]
         waiting = [len(q.pred[i]) for i in range(n)]
-        ready = {i for i in range(n) if waiting[i] == 0}
+        # ready child -> (start floor on a processor holding none of its
+        # predecessors, start floor on processor 0 and on each holder)
+        ready = {
+            i: _data_ready(q, i, finish, proc_of)
+            for i in range(n)
+            if waiting[i] == 0
+        }
+        top = 0
         worst = 0.0
         while ready:
             best_key = None
-            choice = None
-            for i in ready:
-                for p in range(k):
+            scan = min(top + 2, k)
+            for i, (far, near) in ready.items():
+                # earliest start of child i; ties keep the lowest processor
+                first = None
+                for p in range(scan):
                     start = proc_free[p]
-                    if p != 0:
-                        start = max(start, q.comm_in[i])
-                    for j, w in q.pred[i].items():
-                        arrival = finish[j] + (w if proc_of[j] != p else 0.0)
-                        if arrival > start:
-                            start = arrival
-                    key = (start, -blevel[i], p, i)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        choice = (i, p, start)
-            assert choice is not None
-            i, p, start = choice
+                    arrival = near.get(p, far)
+                    if arrival > start:
+                        start = arrival
+                    if first is None or start < first:
+                        first, on = start, p
+                key = (first, -blevel[i], on, i)
+                if best_key is None or key < best_key:
+                    best_key = key
+            assert best_key is not None
+            start, _, p, i = best_key
             proc_of[i] = p
             finish[i] = start + q.costs[i]
             proc_free[p] = finish[i]
             groups[p].append(i)
+            top = max(top, p)
             done = finish[i] + (q.comm_out[i] if p != 0 else 0.0)
             worst = max(worst, done)
-            ready.remove(i)
+            del ready[i]
             for j in q.succ[i]:
                 waiting[j] -= 1
                 if waiting[j] == 0:
-                    ready.add(j)
+                    ready[j] = _data_ready(q, j, finish, proc_of)
         return GroupDecision([g for g in groups if g], worst)
 
     # ------------------------------------------------------------------
@@ -287,3 +324,28 @@ class ClansScheduler(Scheduler):
                 target = len(ctx.clusters) - 1
             for i in group:
                 self._assign(node.children[i], ctx, target)
+
+
+def _data_ready(
+    q: _Quotient, i: int, finish: list[float], proc_of: list[int]
+) -> tuple[float, dict[int, float]]:
+    """Earliest start of quotient child ``i`` by its inputs, per processor.
+
+    All of ``i``'s predecessors are placed.  A message costs nothing
+    between children on the same processor, and a non-local processor also
+    waits ``comm_in`` for the clan's external input.  Returns the floor on
+    a non-local processor that holds none of the predecessors, and a dict
+    of the floors on processor 0 and on every processor that holds one.
+    """
+    pred = q.pred[i]
+
+    def floor(p: int | None) -> float:  # None: a processor with no predecessor
+        start = q.comm_in[i] if p != 0 else 0.0
+        for j, w in pred.items():
+            arrival = finish[j] + (w if proc_of[j] != p else 0.0)
+            if arrival > start:
+                start = arrival
+        return start
+
+    near = {p: floor(p) for p in {0, *(proc_of[j] for j in pred)}}
+    return floor(None), near

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ClansScheduler, TaskGraph
-from repro.clans import ClanKind
+from repro.adversarial.store import build_base_graph
+from repro.clans import ClanKind, decompose
+from repro.experiments.advbench import BASE_SPEC
+from repro.schedulers.clans_sched import GroupDecision, _Context, _Quotient
 
 from conftest import task_graphs
 
@@ -125,3 +129,168 @@ class TestDecisions:
         # 0 and 1 can overlap; best is about 2 * 100 + small comm
         assert s.makespan < 350
         assert s.n_processors >= 2
+
+
+# ----------------------------------------------------------------------
+# quotient mini-schedule: the pruned scan against the exhaustive one
+# ----------------------------------------------------------------------
+def _reference_mini_schedule(q: _Quotient, k: int) -> GroupDecision:
+    """The exhaustive list schedule: b-levels recomputed, every ready child
+    tried on every one of the ``k`` processors, every predecessor's message
+    re-read for each pair."""
+    n = len(q.costs)
+    blevel = [0.0] * n
+    indeg_out = [len(q.succ[i]) for i in range(n)]
+    stack = [i for i in range(n) if indeg_out[i] == 0]
+    while stack:
+        i = stack.pop()
+        blevel[i] = q.costs[i] + max((blevel[j] for j in q.succ[i]), default=0.0)
+        for p in q.pred[i]:
+            indeg_out[p] -= 1
+            if indeg_out[p] == 0:
+                stack.append(p)
+
+    proc_free = [0.0] * k
+    proc_of = [-1] * n
+    finish = [0.0] * n
+    groups: list[list[int]] = [[] for _ in range(k)]
+    waiting = [len(q.pred[i]) for i in range(n)]
+    ready = {i for i in range(n) if waiting[i] == 0}
+    worst = 0.0
+    while ready:
+        best_key = None
+        for i in ready:
+            for p in range(k):
+                start = proc_free[p]
+                if p != 0:
+                    start = max(start, q.comm_in[i])
+                for j, w in q.pred[i].items():
+                    arrival = finish[j] + (w if proc_of[j] != p else 0.0)
+                    if arrival > start:
+                        start = arrival
+                key = (start, -blevel[i], p, i)
+                if best_key is None or key < best_key:
+                    best_key = key
+        start, _, p, i = best_key
+        proc_of[i] = p
+        finish[i] = start + q.costs[i]
+        proc_free[p] = finish[i]
+        groups[p].append(i)
+        worst = max(worst, finish[i] + (q.comm_out[i] if p != 0 else 0.0))
+        ready.remove(i)
+        for j in q.succ[i]:
+            waiting[j] -= 1
+            if waiting[j] == 0:
+                ready.add(j)
+    return GroupDecision([g for g in groups if g], worst)
+
+
+def _reference_decide(q: _Quotient, speedup_check: bool = True) -> GroupDecision:
+    """The k scan without the idle-processor early exit."""
+    n = len(q.costs)
+    if not speedup_check:
+        return _reference_mini_schedule(q, n)
+    best = _reference_mini_schedule(q, 1)
+    stale = 0
+    for k in range(2, n):
+        cand = _reference_mini_schedule(q, k)
+        if cand.cost < best.cost - 1e-12:
+            best = cand
+            stale = 0
+        else:
+            stale += 1
+            if stale >= 2:
+                break
+    if n > 1:
+        cand = _reference_mini_schedule(q, n)
+        if cand.cost < best.cost - 1e-12:
+            best = cand
+    return best
+
+
+def _same(got: GroupDecision, ref: GroupDecision) -> bool:
+    return got.groups == ref.groups and got.cost.hex() == ref.cost.hex()
+
+
+#: A handful of values, so costs, messages and b-levels tie often.
+_TIED = st.sampled_from([0.0, 1.0, 2.0, 2.5, 10.0])
+_ANY = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def quotients(draw, max_children: int = 9) -> _Quotient:
+    """Quotient DAGs: antichains, chains and random DAGs; tied or spread
+    costs and messages, optionally all-zero costs or all-zero messages."""
+    n = draw(st.integers(1, max_children))
+    values = draw(st.sampled_from([_TIED, _ANY]))
+    zero = st.just(0.0)
+    cost = zero if draw(st.booleans()) and draw(st.booleans()) else values
+    message = zero if draw(st.booleans()) and draw(st.booleans()) else values
+    shape = draw(st.sampled_from(["antichain", "chain", "dag"]))
+    if shape == "antichain":
+        edges = []
+    elif shape == "chain":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    else:
+        edges = [
+            (i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+        ]
+    succ: list[dict[int, float]] = [{} for _ in range(n)]
+    pred: list[dict[int, float]] = [{} for _ in range(n)]
+    for i, j in edges:
+        w = draw(message)
+        succ[i][j] = w
+        pred[j][i] = w
+    return _Quotient(
+        costs=[draw(cost) for _ in range(n)],
+        comm_in=[draw(message) for _ in range(n)],
+        comm_out=[draw(message) for _ in range(n)],
+        succ=succ,
+        pred=pred,
+    )
+
+
+class _FixedQuotient(ClansScheduler):
+    """Decides on a given quotient instead of one built from a clan."""
+
+    def __init__(self, q: _Quotient, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.q = q
+
+    def _quotient(self, node, ctx) -> _Quotient:
+        return self.q
+
+
+class TestMiniScheduleMatchesExhaustiveScan:
+    @given(q=quotients())
+    @settings(max_examples=300, deadline=None)
+    def test_every_k(self, q):
+        for k in range(1, len(q.costs) + 1):
+            got = ClansScheduler._mini_schedule(q, k)
+            assert _same(got, _reference_mini_schedule(q, k)), k
+
+    @given(q=quotients(), check=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_decide(self, q, check):
+        got = _FixedQuotient(q, speedup_check=check)._decide(None, None)
+        assert _same(got, _reference_decide(q, check))
+
+    def test_primitive_heavy_graph(self):
+        """The advbench base graph's clans, its primitive clan of 24
+        children included: every k and every decision."""
+        g = build_base_graph(BASE_SPEC)
+        sched = ClansScheduler()
+        tree = decompose(g)
+        ctx = _Context(g)
+        sched._annotate(tree, ctx)
+        widest = 0
+        for node in tree.walk():
+            if id(node) not in ctx.decisions:
+                continue
+            q = sched._quotient(node, ctx)
+            widest = max(widest, len(q.costs))
+            for k in range(1, len(q.costs) + 1):
+                got = ClansScheduler._mini_schedule(q, k)
+                assert _same(got, _reference_mini_schedule(q, k)), k
+            assert _same(ctx.decisions[id(node)], _reference_decide(q))
+        assert widest >= 20

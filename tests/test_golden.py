@@ -7,15 +7,30 @@ improvement), regenerate the constants with::
 
     python -m pytest tests/test_golden.py --collect-only  # see the recipe
     python -c "import tests.test_golden as g; print(g.regenerate())"
+
+Two sha256 digests pin whole outputs byte for byte: CLANS's schedules over
+the default-seed Table-1 suite, and the result of the fixed-seed advbench
+hunt (best instance digest plus the op log that rebuilds it).  A
+performance change must leave both unchanged; regenerate them with
+``clans_suite_digest()`` and ``hunt_digest()`` only for an intended change
+of behaviour.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro import get_scheduler
+from repro.adversarial.objective import make_objective
+from repro.adversarial.search import hunt
+from repro.adversarial.store import build_base_graph, wire_record
+from repro.core.wire import dumps
+from repro.experiments.advbench import BASE_SPEC, OBJECTIVE, PAIR, POLICY, SEED
 from repro.generation.random_dag import generate_pdg
+from repro.generation.suites import generate_suite
 
 #: (band, anchor, seed) -> {heuristic: makespan}; values were produced by
 #: this library at v1.0.0 and every entry was validated against the
@@ -76,3 +91,44 @@ class TestGolden:
             f"{name} drifted on {case}: got {s.makespan!r}, "
             f"expected {expected!r}.  If intentional, regenerate GOLDEN."
         )
+
+
+#: sha256 of CLANS's ``Schedule.to_dict`` over ``generate_suite(
+#: graphs_per_cell=1)`` (seed 19940815, 60 graphs of 40-100 tasks).
+CLANS_SUITE_SHA256 = "72e6d0bb35037896a424b76254aea5242a4a96738b95a9e2fd1b0bf0dca1dfb2"
+#: sha256 of ``[best digest, best op log]`` of the advbench hunt
+#: (``BASE_SPEC``, DSC vs CLANS ratio, annealing, seed ``SEED``) at
+#: ``HUNT_STEPS`` steps of neighborhood 8.
+HUNT_STEPS = 40
+HUNT_SHA256 = "8fb4a6fdea05b7c7d8ba398e97c3b620e9811170e7f938f92149c20ad336aba5"
+
+
+def clans_suite_digest() -> str:
+    clans = get_scheduler("CLANS")
+    h = hashlib.sha256()
+    for sg in generate_suite(graphs_per_cell=1):
+        h.update(dumps(clans.schedule(sg.graph).to_dict()).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def hunt_digest() -> str:
+    result = hunt(
+        build_base_graph(BASE_SPEC),
+        make_objective(OBJECTIVE, *PAIR),
+        seed=SEED,
+        steps=HUNT_STEPS,
+        neighborhood=8,
+        policy=POLICY,
+    )
+    _, digest = wire_record(result.best_graph)
+    op_log = [list(op) for op in result.best_op_log]
+    return hashlib.sha256(dumps([digest, op_log]).encode()).hexdigest()
+
+
+class TestGoldenDigests:
+    def test_clans_suite_schedules(self):
+        assert clans_suite_digest() == CLANS_SUITE_SHA256
+
+    def test_advbench_hunt(self):
+        assert hunt_digest() == HUNT_SHA256

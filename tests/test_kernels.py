@@ -11,11 +11,18 @@ simulator, the rewritten schedulers, and the clan decomposition.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import TaskGraph
-from repro.clans.decomposition import decompose
+from repro.adversarial.env import PerturbationEnv
+from repro.adversarial.store import build_base_graph
+from repro.clans import ClanKind
+from repro.clans.decomposition import decompose, is_clan
 from repro.core.analysis import (
     alap_times,
     b_levels,
@@ -33,9 +40,12 @@ from repro.core.kernels import (
     use_kernels,
 )
 from repro.core.simulator import simulate_clustering, simulate_ordered
+from repro.experiments.advbench import BASE_SPEC
 from repro.generation.random_dag import generate_pdg
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.schedulers import get_scheduler
+
+from conftest import task_graphs
 
 SEED = 19940815
 REWRITTEN = ["DSC", "MCP", "MH", "HU", "ETF", "HLFET", "CLANS"]
@@ -262,14 +272,69 @@ def _tree_shape(node):
     return (node.kind.name, [_tree_shape(c) for c in node.children])
 
 
+def _hunt_graphs() -> list[tuple[str, TaskGraph]]:
+    """The advbench hunt's base graph and seeded neighborhoods around it.
+
+    Every one has 48 tasks and a primitive clan of 22-27 children: the
+    shape the adversarial hunt decomposes thousands of times, and the one
+    where primitive-clan closures do the most work.
+    """
+    base = build_base_graph(BASE_SPEC)
+    graphs = [("advbench-base", base)]
+    for seed in range(4):
+        env = PerturbationEnv(base.copy(), random.Random(seed))
+        for step in range(2):
+            cands = env.neighborhood(4)
+            graphs += [
+                (f"hunt-s{seed}-{step}-{i}", g) for i, (_, g) in enumerate(cands)
+            ]
+            env.apply(cands[-1][0])
+    return graphs
+
+
+HUNT = _hunt_graphs()
+
+
+def _both_backends(g):
+    with use_kernels(False):
+        ref = decompose(g)
+    with use_kernels(True):
+        ker = decompose(g)
+    return ref, ker
+
+
 class TestDecompositionEquivalence:
     @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
     def test_trees_identical(self, g):
-        with use_kernels(False):
-            ref = _tree_shape(decompose(g))
-        with use_kernels(True):
-            ker = _tree_shape(decompose(g))
-        assert ref == ker
+        ref, ker = _both_backends(g)
+        assert _tree_shape(ref) == _tree_shape(ker)
+
+    @pytest.mark.parametrize("g", [g for _, g in HUNT], ids=[n for n, _ in HUNT])
+    def test_trees_identical_on_primitive_heavy_graphs(self, g):
+        ref, ker = _both_backends(g)
+        assert _tree_shape(ref) == _tree_shape(ker)
+
+    def test_hunt_corpus_is_primitive_heavy(self):
+        for name, g in HUNT:
+            widest = max(
+                (len(n.children) for n in decompose(g).walk()
+                 if not n.is_leaf and n.kind is ClanKind.PRIMITIVE),
+                default=0,
+            )
+            assert widest >= 20, name
+
+    @given(
+        g=st.sampled_from([0.2, 0.35, 0.6]).flatmap(
+            lambda bias: task_graphs(max_tasks=16, connected_bias=bias)
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_backends_agree_and_every_node_is_a_clan(self, g):
+        ref, ker = _both_backends(g)
+        assert _tree_shape(ref) == _tree_shape(ker)
+        for node in ker.walk():
+            if not node.is_leaf:
+                assert is_clan(g, node.members)
 
 
 # ----------------------------------------------------------------------
