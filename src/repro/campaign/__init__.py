@@ -29,12 +29,13 @@ from .coordinator import (
     Lease,
 )
 from .journal import CampaignJournal, CampaignState, UnitDelivery
-from .spec import CampaignSpec, WorkUnit, campaign_suite, unit_graphs
+from .spec import CampaignSpec, CellCursors, WorkUnit, campaign_suite, unit_graphs
 from .worker import run_worker
 
 __all__ = [
     "CampaignSpec",
     "WorkUnit",
+    "CellCursors",
     "unit_graphs",
     "campaign_suite",
     "CampaignJournal",

@@ -17,13 +17,18 @@ unit results in unit order therefore reproduces the serial
 invariant).  Every unit carries a digest binding it to the spec digest
 plus its coordinates, so a result delivery can be verified against the
 exact work it claims to answer — the exactly-once merge key.
+
+Regeneration: a cell's graphs come from one sequential RNG, so graph ``i``
+can only be reached by drawing graphs ``0..i-1`` first.  A
+:class:`CellCursors` keeps each cell's live generator between units, so a
+worker that takes a cell's units in order generates the cell once.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 from ..core import wire
 from ..generation.suites import SuiteCell, SuiteGraph, generate_suite, suite_cells
@@ -31,6 +36,7 @@ from ..generation.suites import SuiteCell, SuiteGraph, generate_suite, suite_cel
 __all__ = [
     "CampaignSpec",
     "WorkUnit",
+    "CellCursors",
     "unit_graphs",
     "campaign_suite",
 ]
@@ -229,21 +235,56 @@ class CampaignSpec:
         return self.graphs_per_cell * len(self.suite_cells())
 
 
+class CellCursors:
+    """Each cell's live suite generator and position, across units.
+
+    :meth:`graphs` continues a cell from where its previous unit stopped,
+    drawing (and discarding) the graphs of any units in between.  A unit
+    that starts before the position — a re-lease, or units taken out of
+    order — restarts the cell.  Yielded graphs are not kept, and a cell's
+    entry is dropped once its last graph has been served.
+    """
+
+    def __init__(self, spec: CampaignSpec) -> None:
+        self.spec = spec
+        self._cells: dict[SuiteCell, tuple[Iterator[SuiteGraph], int]] = {}
+
+    def __contains__(self, cell: SuiteCell) -> bool:
+        """Whether ``cell`` has a live generator."""
+        return cell in self._cells
+
+    def graphs(self, unit: WorkUnit) -> list[SuiteGraph]:
+        """Exactly the graphs of ``unit``, bit-identical to the serial suite."""
+        if not 0 <= unit.start < unit.stop <= self.spec.graphs_per_cell:
+            raise ValueError(
+                f"unit {unit.unit_id} covers [{unit.start}, {unit.stop}), outside "
+                f"the spec's {self.spec.graphs_per_cell} graphs per cell"
+            )
+        cell = unit.cell
+        gen, position = self._cells.pop(cell, (None, 0))
+        if gen is None or position > unit.start:
+            gen = generate_suite(
+                graphs_per_cell=self.spec.graphs_per_cell,
+                seed=self.spec.seed,
+                n_tasks_range=self.spec.n_tasks_range,
+                cells=[cell],
+            )
+            position = 0
+        for _ in range(position, unit.start):
+            next(gen)
+        graphs = [next(gen) for _ in range(unit.n_graphs)]
+        if unit.stop < self.spec.graphs_per_cell:
+            self._cells[cell] = (gen, unit.stop)
+        return graphs
+
+
 def unit_graphs(spec: CampaignSpec, unit: WorkUnit) -> list[SuiteGraph]:
     """Regenerate exactly the graphs of ``unit``, bit-identical anywhere.
 
-    A cell's graphs are a deterministic sequence of its cell RNG, so
-    indices ``[start, stop)`` are reached by generating the cell's prefix
-    and keeping the tail — cheap at suite graph sizes, and the only way to
-    honour the generator's sequential-draw semantics.
+    A fresh :class:`CellCursors`: the cell's prefix is generated and
+    dropped.  A worker keeps one cursor object across units instead.
     """
-    gen = generate_suite(
-        graphs_per_cell=unit.stop,
-        seed=spec.seed,
-        n_tasks_range=spec.n_tasks_range,
-        cells=[unit.cell],
-    )
-    return list(islice(gen, unit.start, unit.stop))
+    return CellCursors(spec).graphs(unit)
 
 
 def campaign_suite(spec: CampaignSpec) -> list[SuiteGraph]:

@@ -5,8 +5,10 @@ crash could lose beyond its current in-flight unit, which the
 coordinator's lease expiry reclaims; ``kill -9`` mid-unit costs exactly
 one unit's compute time and nothing else.  Everything it needs arrives
 in the ``campaign.register`` response — the spec to regenerate graphs
-from (bit-identically, see :func:`repro.campaign.spec.unit_graphs`) and
-the lease TTL to heartbeat against.
+from (bit-identically, see :class:`repro.campaign.spec.CellCursors`) and
+the lease TTL to heartbeat against.  The cursors keep each cell's
+generator between units, so units of a cell taken in order generate the
+cell once; a crash loses only that cache.
 
 Execution reuses the suite runner verbatim (``run_suite`` with
 ``on_error="record"`` and the spec's timeout/retry fault policy), so a
@@ -49,7 +51,7 @@ from ..obs.log import get_logger
 from ..obs.metrics import get_registry
 from ..schedulers.base import get_scheduler
 from ..service.client import ServiceClient, ServiceError
-from .spec import CampaignSpec, WorkUnit, unit_graphs
+from .spec import CampaignSpec, CellCursors, WorkUnit
 
 __all__ = ["run_worker"]
 
@@ -110,6 +112,7 @@ def run_worker(
             "register",
         )
         spec = CampaignSpec.from_dict(info["spec"])
+        cursors = CellCursors(spec)
         lease_ttl = float(info["lease_ttl"])
         schedulers = (
             None
@@ -173,7 +176,7 @@ def run_worker(
             hb.start()
             try:
                 result = run_suite(
-                    unit_graphs(spec, unit),
+                    cursors.graphs(unit),
                     schedulers,
                     validate=spec.validate,
                     seed=spec.seed,

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Collection, Iterable, Mapping
 
 from .exceptions import GraphError
-from .taskgraph import TaskGraph
+from .taskgraph import Task, TaskGraph
 
 __all__ = [
     "granularity",
@@ -52,18 +53,30 @@ def granularity(graph: TaskGraph) -> float:
 
 
 def _granularity(graph: TaskGraph) -> float:
+    return mean_granularity(
+        (t, graph.weight(t), graph.out_edges(t).values()) for t in graph.tasks()
+    )
+
+
+def mean_granularity(rows: Iterable[tuple[Task, float, Collection[float]]]) -> float:
+    """Section 3.1's mean of ``weight / max(out-edge weights)`` over
+    ``(task, weight, out-edge weights)`` rows; rows without out-edges (sinks)
+    are skipped.
+
+    The one implementation behind :func:`granularity`, also used by the
+    weight generator on edge weights it has drawn but not yet written.
+    """
     terms: list[float] = []
-    for t in graph.tasks():
-        out = graph.out_edges(t)
+    for t, weight, out in rows:
         if not out:
             continue
-        max_edge = max(out.values())
+        max_edge = max(out)
         if max_edge <= 0.0:
             raise GraphError(
                 f"task {t!r} has only zero-weight outgoing edges; "
                 "granularity is undefined"
             )
-        terms.append(graph.weight(t) / max_edge)
+        terms.append(weight / max_edge)
     if not terms:
         raise GraphError("granularity undefined: graph has no edges")
     return sum(terms) / len(terms)
@@ -91,9 +104,18 @@ def anchor_out_degree(graph: TaskGraph, *, include_sinks: bool = False) -> int:
         for t in graph.tasks()
         if include_sinks or graph.out_degree(t) > 0
     ]
-    if not degrees:
+    return degree_mode(Counter(degrees))
+
+
+def degree_mode(counts: Mapping[int, int]) -> int:
+    """The most common degree of a ``{degree: count}`` histogram whose counts
+    are all positive; ties go to the smaller degree.
+
+    The one implementation behind :func:`anchor_out_degree`, also used by
+    the generator's anchor adjustment on the histogram it keeps up to date.
+    """
+    if not counts:
         raise GraphError("anchor out-degree undefined: no qualifying tasks")
-    counts = Counter(degrees)
     best = max(counts.values())
     return min(d for d, c in counts.items() if c == best)
 

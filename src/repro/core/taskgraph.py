@@ -7,7 +7,8 @@ communication cost paid when its endpoints run on *different* processors.
 :class:`TaskGraph` is a small, dependency-free adjacency-map structure tuned
 for the access patterns of the schedulers (predecessor/successor sweeps in
 topological order).  Conversion to and from :mod:`networkx` is provided for
-interoperability and for the generators that lean on networkx utilities.
+interoperability; networkx is imported only when :meth:`TaskGraph.to_networkx`
+runs, so processes that never convert do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from types import MappingProxyType
-from typing import Any
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any
 
 from .exceptions import CycleError, GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Task = Hashable
 Edge = tuple[Task, Task]
@@ -422,6 +424,8 @@ class TaskGraph:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.DiGraph:
         """A networkx DiGraph with ``weight`` node/edge attributes."""
+        import networkx as nx
+
         g = nx.DiGraph()
         for t, w in self._weight.items():
             g.add_node(t, weight=w)

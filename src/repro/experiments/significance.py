@@ -11,6 +11,11 @@ for a pair of heuristics over one set of graphs it reports
   p-value bounds the probability that a difference this one-sided arises
   from symmetric noise.
 
+scipy is imported by :func:`compare_heuristics` when it runs, not by this
+module: it is not a runtime dependency of the package (``pip install
+.[dev]`` brings it), and importing it costs about a second in every
+process that loads :mod:`repro.experiments`.
+
 :func:`comparison_matrix` runs all pairs and renders the familiar
 dominance table.
 """
@@ -19,8 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-from scipy import stats as _scipy_stats
 
 from .measures import GraphResult
 from .reporting import ResultTable
@@ -60,7 +63,12 @@ class PairedComparison:
 def compare_heuristics(
     results: Sequence[GraphResult], a: str, b: str
 ) -> PairedComparison:
-    """Paired comparison of two heuristics over the same graphs."""
+    """Paired comparison of two heuristics over the same graphs.
+
+    Needs scipy (the ``dev`` extra) for the Wilcoxon test.
+    """
+    from scipy import stats
+
     if not results:
         raise ValueError("no results to compare")
     xs, ys = [], []
@@ -87,7 +95,7 @@ def compare_heuristics(
     if all(abs(d) <= _EPS for d in diffs):
         p_value = 1.0
     else:
-        _, p_value = _scipy_stats.wilcoxon(xs, ys, zero_method="zsplit")
+        _, p_value = stats.wilcoxon(xs, ys, zero_method="zsplit")
     return PairedComparison(
         a=a,
         b=b,

@@ -14,12 +14,19 @@ The three stages are exposed separately (:func:`sp_dag_from_tree`,
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 
 import numpy as np
 
 from ..core.exceptions import GenerationError
-from ..core.metrics import GRANULARITY_BANDS, anchor_out_degree, granularity
-from ..core.taskgraph import TaskGraph
+from ..core.metrics import (
+    GRANULARITY_BANDS,
+    anchor_out_degree,
+    degree_mode,
+    granularity,
+    mean_granularity,
+)
+from ..core.taskgraph import Task, TaskGraph
 from .parse_tree import SPKind, SPNode, random_parse_tree
 
 __all__ = [
@@ -80,62 +87,66 @@ def adjust_anchor(
     (with respect to a fixed topological order, preserving acyclicity) or
     removing random outgoing edges.  Raises :class:`GenerationError` if the
     target cannot be reached (callers resample the parse tree).
+
+    No step scans the graph.  Every successor of a node lies after it in
+    the fixed order, so the node at position ``i`` of ``n`` can gain
+    ``n - 1 - i - out_degree`` edges, and it can reach out-degree
+    ``anchor`` exactly when ``i <= n - 1 - anchor``.  Per out-degree, the
+    sorted positions of its non-sinks (whose lengths are the out-degree
+    histogram) are updated for the one node each step changes; the
+    candidates are then a prefix of the mode's position list (see
+    DESIGN.md §4).
     """
     if anchor < 1:
         raise GenerationError(f"anchor must be >= 1, got {anchor}")
     topo = graph.topological_order()
-    pos = {t: i for i, t in enumerate(topo)}
     if max_steps is None:
         max_steps = 4 * graph.n_tasks + 16
+    # The non-sinks' positions in ``topo``, sorted, by out-degree (nonempty
+    # lists only).  A step moves one non-sink to degree ``anchor >= 1``, so
+    # sinks stay sinks.
+    positions: dict[int, list[int]] = {}
+    for i, t in enumerate(topo):
+        if graph.out_degree(t):
+            positions.setdefault(graph.out_degree(t), []).append(i)
+    last = len(topo) - 1 - anchor  # the last position that can reach the anchor
 
     for _ in range(max_steps):
-        mode = _mode_out_degree(graph)
+        mode = degree_mode({d: len(at) for d, at in positions.items()})
         if mode == anchor:
             return
-        candidates = [
-            t
-            for t in topo
-            if graph.out_degree(t) == mode
-            and (mode > anchor or _n_addable(graph, t, pos, topo) >= anchor - mode)
-        ]
-        if not candidates and mode < anchor:
-            # No mode-degree node can grow; try any growable non-sink.
-            candidates = [
-                t
-                for t in topo
-                if 0 < graph.out_degree(t) < anchor
-                and _n_addable(graph, t, pos, topo) >= anchor - graph.out_degree(t)
-            ]
+        candidates = positions[mode]
+        if mode < anchor:
+            candidates = candidates[: bisect_right(candidates, last)]
+            if not candidates:
+                # No mode-degree node can grow; try any growable non-sink.
+                candidates = sorted(
+                    i for d in range(1, anchor) for i in positions.get(d, ()) if i <= last
+                )
         if not candidates:
             raise GenerationError(
                 f"cannot reach anchor {anchor} (mode stuck at {mode})"
             )
-        v = candidates[int(rng.integers(len(candidates)))]
-        if graph.out_degree(v) < anchor:
-            targets = _addable(graph, v, pos, topo)
-            picks = rng.choice(len(targets), size=anchor - graph.out_degree(v), replace=False)
-            for i in picks:
-                graph.add_edge(v, targets[int(i)], 0.0)
+        i = candidates[int(rng.integers(len(candidates)))]
+        v = topo[i]
+        degree = graph.out_degree(v)
+        if degree < anchor:
+            succ = graph.out_edges(v)
+            targets = [u for u in topo[i + 1 :] if u not in succ]
+            picks = rng.choice(len(targets), size=anchor - degree, replace=False)
+            for j in picks:
+                graph.add_edge(v, targets[int(j)], 0.0)
         else:
             out = graph.successors(v)
-            drop = rng.choice(len(out), size=graph.out_degree(v) - anchor, replace=False)
-            for i in drop:
-                graph.remove_edge(v, out[int(i)])
+            drop = rng.choice(len(out), size=degree - anchor, replace=False)
+            for j in drop:
+                graph.remove_edge(v, out[int(j)])
+        moved = positions[degree]
+        del moved[bisect_left(moved, i)]
+        if not moved:
+            del positions[degree]
+        insort(positions.setdefault(anchor, []), i)
     raise GenerationError(f"anchor adjustment did not converge to {anchor}")
-
-
-def _mode_out_degree(graph: TaskGraph) -> int:
-    return anchor_out_degree(graph, include_sinks=False)
-
-
-def _addable(graph: TaskGraph, v, pos, topo) -> list:
-    """Later-in-topo-order nodes ``v`` has no edge to (safe to connect)."""
-    succ = set(graph.successors(v))
-    return [u for u in topo if pos[u] > pos[v] and u not in succ]
-
-
-def _n_addable(graph: TaskGraph, v, pos, topo) -> int:
-    return len(_addable(graph, v, pos, topo))
 
 
 def assign_weights(
@@ -153,7 +164,8 @@ def assign_weights(
     weight/edge ratio scatters (log-normally, ``jitter`` sigma) around the
     target; remaining out-edges get 30–100% of the heaviest.  A single
     closing rescale of all edge weights makes the realized paper-formula
-    granularity *exactly* the target.
+    granularity *exactly* the target.  The drawn edge weights stay in
+    locals until the rescale, so each edge is written once.
     """
     wmin, wmax = weight_range
     if not (0 < wmin <= wmax):
@@ -162,6 +174,8 @@ def assign_weights(
         raise GenerationError("target granularity must be positive")
     for t in graph.tasks():
         graph.add_task(t, float(rng.integers(wmin, wmax + 1)))
+    # (task, successors, their edge weights before the rescale)
+    drawn: list[tuple[Task, list[Task], list[float]]] = []
     for t in graph.tasks():
         out = graph.successors(t)
         if not out:
@@ -169,14 +183,15 @@ def assign_weights(
         g_i = target_granularity * math.exp(rng.normal(0.0, jitter))
         max_edge = graph.weight(t) / g_i
         heavy = out[int(rng.integers(len(out)))]
-        for s in out:
-            if s == heavy:
-                graph.add_edge(t, s, max_edge)
-            else:
-                graph.add_edge(t, s, max_edge * rng.uniform(0.3, 1.0))
-    scale = granularity(graph) / target_granularity
-    for u, v in graph.edges():
-        graph.add_edge(u, v, graph.edge_weight(u, v) * scale)
+        weights = [max_edge if s == heavy else max_edge * rng.uniform(0.3, 1.0) for s in out]
+        drawn.append((t, out, weights))
+    scale = (
+        mean_granularity((t, graph.weight(t), weights) for t, _, weights in drawn)
+        / target_granularity
+    )
+    for t, out, weights in drawn:
+        for s, w in zip(out, weights):
+            graph.add_edge(t, s, w * scale)
 
 
 #: Sampling windows for a target granularity inside each paper band.  The
@@ -231,7 +246,7 @@ def generate_pdg(
         if not (lo <= g < hi):  # pragma: no cover - rescale is exact
             last_error = GenerationError(f"granularity {g} missed band {band}")
             continue
-        if _mode_out_degree(graph) != anchor:  # pragma: no cover
+        if anchor_out_degree(graph) != anchor:  # pragma: no cover
             last_error = GenerationError("anchor drifted")
             continue
         return graph

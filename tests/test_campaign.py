@@ -26,13 +26,16 @@ from repro.campaign import (
     CampaignJournal,
     CampaignServer,
     CampaignSpec,
+    CellCursors,
     WorkUnit,
     campaign_suite,
     run_worker,
     unit_graphs,
 )
+from repro.core.wire import dumps, graph_to_wire
 from repro.experiments.persistence import save_results
 from repro.experiments.runner import run_suite
+from repro.generation import suites
 from repro.service.client import ServiceClient, ServiceError
 
 # A tiny two-cell campaign: 2 cells x 4 graphs = 8 graphs, unit_size=2
@@ -100,6 +103,87 @@ class TestSharding:
     def test_unit_round_trip(self):
         unit = SPEC.units()[2]
         assert WorkUnit.from_dict(unit.to_dict()) == unit
+
+
+# ----------------------------------------------------------------------
+# cell cursors
+# ----------------------------------------------------------------------
+#: Two cells of 7 graphs in units of 2: per cell, units [0,2) [2,4) [4,6) [6,7).
+CURSOR_SPEC = CampaignSpec(
+    graphs_per_cell=7,
+    seed=1107,
+    n_tasks_range=(8, 14),
+    cells=SPEC.cells,
+    unit_size=2,
+)
+
+
+def _wire(graphs):
+    return [(sg.graph_id, dumps(graph_to_wire(sg.graph))) for sg in graphs]
+
+
+class TestCellCursors:
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return dict(_wire(campaign_suite(CURSOR_SPEC)))
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            [0, 1, 2, 3],  # in order
+            [0, 2, 3],  # skip forward
+            [1, 3],
+            [2, 0, 1, 3],  # backward
+            [3, 0],
+            [0, 0, 1, 1, 2, 3, 3],  # the same unit twice: a re-lease
+            [3, 3],
+        ],
+    )
+    def test_units_match_serial_slice(self, serial, order):
+        units = CURSOR_SPEC.units()
+        per_cell = len(units) // 2
+        cursors = CellCursors(CURSOR_SPEC)
+        # both cells, interleaved unit by unit
+        for k in order:
+            for unit in (units[k], units[per_cell + k]):
+                got = _wire(cursors.graphs(unit))
+                assert got == [(gid, serial[gid]) for gid in unit.graph_ids()]
+
+    def test_in_order_pass_generates_each_graph_once(self, monkeypatch):
+        calls = []
+        generate_pdg = suites.generate_pdg
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return generate_pdg(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "generate_pdg", counting)
+        spec = CampaignSpec(
+            graphs_per_cell=35,
+            seed=1107,
+            n_tasks_range=(8, 14),
+            cells=((2, 3, (20, 100)),),
+        )
+        cursors = CellCursors(spec)
+        for unit in spec.units():
+            cursors.graphs(unit)
+        assert len(calls) == spec.graphs_per_cell
+
+    def test_entry_dropped_after_last_unit(self):
+        cursors = CellCursors(CURSOR_SPEC)
+        units = CURSOR_SPEC.units()
+        cell = units[0].cell
+        for unit in units[:3]:
+            cursors.graphs(unit)
+            assert cell in cursors
+        cursors.graphs(units[3])
+        assert cell not in cursors
+
+    def test_unit_outside_the_cell_rejected(self):
+        unit = CURSOR_SPEC.units()[3]
+        beyond = WorkUnit.from_dict({**unit.to_dict(), "stop": unit.stop + 1})
+        with pytest.raises(ValueError, match="outside the spec"):
+            CellCursors(CURSOR_SPEC).graphs(beyond)
 
 
 # ----------------------------------------------------------------------

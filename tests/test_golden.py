@@ -8,10 +8,11 @@ improvement), regenerate the constants with::
     python -m pytest tests/test_golden.py --collect-only  # see the recipe
     python -c "import tests.test_golden as g; print(g.regenerate())"
 
-Two sha256 digests pin whole outputs byte for byte: CLANS's schedules over
-the default-seed Table-1 suite, and the result of the fixed-seed advbench
-hunt (best instance digest plus the op log that rebuilds it).  A
-performance change must leave both unchanged; regenerate them with
+sha256 digests pin whole outputs byte for byte: the generated Table-1
+graphs at two master seeds, CLANS's schedules over the default-seed
+Table-1 suite, and the result of the fixed-seed advbench hunt (best
+instance digest plus the op log that rebuilds it).  A performance change
+must leave them unchanged; regenerate them with ``suite_graphs_digest()``,
 ``clans_suite_digest()`` and ``hunt_digest()`` only for an intended change
 of behaviour.
 """
@@ -27,7 +28,7 @@ from repro import get_scheduler
 from repro.adversarial.objective import make_objective
 from repro.adversarial.search import hunt
 from repro.adversarial.store import build_base_graph, wire_record
-from repro.core.wire import dumps
+from repro.core.wire import dumps, graph_to_wire
 from repro.experiments.advbench import BASE_SPEC, OBJECTIVE, PAIR, POLICY, SEED
 from repro.generation.random_dag import generate_pdg
 from repro.generation.suites import generate_suite
@@ -93,6 +94,13 @@ class TestGolden:
         )
 
 
+#: sha256 of the wire graphs of ``generate_suite(graphs_per_cell=2)`` (120
+#: graphs of 40-100 tasks), one line per graph, by master seed.  Every RNG
+#: draw of the generator and the order of every edge feed it.
+SUITE_GRAPHS_SHA256 = {
+    19940815: "a2dc70b694c3dd230e5f7fd645f7874ddf304290d11b401f5d5a46a958c14be5",
+    11: "502e49ea1dcde67e75bad912ebde300ee380a56cfad1b3aa945dd32f03d8d171",
+}
 #: sha256 of CLANS's ``Schedule.to_dict`` over ``generate_suite(
 #: graphs_per_cell=1)`` (seed 19940815, 60 graphs of 40-100 tasks).
 CLANS_SUITE_SHA256 = "72e6d0bb35037896a424b76254aea5242a4a96738b95a9e2fd1b0bf0dca1dfb2"
@@ -101,6 +109,14 @@ CLANS_SUITE_SHA256 = "72e6d0bb35037896a424b76254aea5242a4a96738b95a9e2fd1b0bf0dc
 #: ``HUNT_STEPS`` steps of neighborhood 8.
 HUNT_STEPS = 40
 HUNT_SHA256 = "8fb4a6fdea05b7c7d8ba398e97c3b620e9811170e7f938f92149c20ad336aba5"
+
+
+def suite_graphs_digest(seed: int) -> str:
+    h = hashlib.sha256()
+    for sg in generate_suite(graphs_per_cell=2, seed=seed):
+        h.update(dumps(graph_to_wire(sg.graph)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 def clans_suite_digest() -> str:
@@ -127,6 +143,10 @@ def hunt_digest() -> str:
 
 
 class TestGoldenDigests:
+    @pytest.mark.parametrize("seed", sorted(SUITE_GRAPHS_SHA256))
+    def test_suite_graphs(self, seed):
+        assert suite_graphs_digest(seed) == SUITE_GRAPHS_SHA256[seed]
+
     def test_clans_suite_schedules(self):
         assert clans_suite_digest() == CLANS_SUITE_SHA256
 
