@@ -38,7 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.batch import use_batch
-from repro.experiments.kernelbench import _serialized
+from repro.experiments.persistence import save_results
 from repro.experiments.runner import run_suite
 from repro.generation.suites import adversarial_suite
 
@@ -46,6 +46,14 @@ SEED = 19940815
 STEPS = 200
 NEIGHBORHOOD = 4
 GAP_FLOOR = 2.0  # matches advbench.QUICK_FLOORS["best_gap"]
+
+
+def _serialized(results) -> bytes:
+    """The bytes ``save_results`` writes for ``results``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.json"
+        save_results(results, path)
+        return path.read_bytes()
 
 
 def check(cond: bool, message: str) -> None:

@@ -17,8 +17,7 @@ would produce — the byte-identity of the merged campaign is inherited,
 not re-implemented.  That includes the batch layer: a worker's
 regenerated graph slice is pre-analyzed in vectorized chunks by the
 runner's :func:`~repro.core.batch.batch_analyze` pass (and falls back
-per-graph under ``REPRO_BATCH=0`` / ``REPRO_KERNELS=0``), with no
-campaign-side code.
+per-graph under ``REPRO_BATCH=0``), with no campaign-side code.
 
 Heartbeats run on their own thread **and their own connection**: the
 main connection blocks for a unit's whole compute time inside

@@ -8,7 +8,7 @@ Subcommands::
     repro-sched experiment --graphs-per-cell 4 [--tables 2,3,4] [--figures 1,2]
     repro-sched workload  fft --param 3 -o fft.json
     repro-sched stats     <results.json | trace.jsonl>
-    repro-sched bench     kernels|batch|track [--quick] [--check]
+    repro-sched bench     batch|adversarial|track [--quick] [--check]
     repro-sched serve     [--port 29267 | --socket PATH] [--workers 2]
     repro-sched submit    <graph.json> --heuristic DSC [--json] [--deadline-ms 250]
     repro-sched top       [--host H --port P | --socket PATH] [--interval 2]
@@ -476,27 +476,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.target == "adversarial":
         return _bench_adversarial(args)
 
-    if args.target == "batch":
-        from .experiments.batchbench import (
-            FULL_FLOORS,
-            QUICK_FLOORS,
-            floor_violations,
-            run_benchmark,
-        )
-    else:
-        from .experiments.kernelbench import (
-            FULL_FLOORS,
-            QUICK_FLOORS,
-            floor_violations,
-            run_benchmark,
-        )
+    from .experiments.batchbench import (
+        FULL_FLOORS,
+        QUICK_FLOORS,
+        floor_violations,
+        run_benchmark,
+    )
 
     payload = run_benchmark(quick=args.quick, graphs_per_cell=args.graphs_per_cell)
-    sections = (
-        ("levels", "classify", "end_to_end")
-        if args.target == "batch"
-        else ("levels", "simulator", "end_to_end")
-    )
+    sections = ("levels", "classify", "end_to_end")
     for name in sections:
         sec = payload[name]
         print(f"{name:<11s}: {sec['speedup']:6.2f}x  identical={sec['identical']}")
@@ -1185,9 +1173,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "target",
-        choices=["kernels", "batch", "adversarial", "track"],
-        help="which benchmark action to run (kernels: indexed vs dict hot "
-        "paths; batch: pooled SoA sweeps vs per-graph kernels; adversarial: "
+        choices=["batch", "adversarial", "track"],
+        help="which benchmark action to run (batch: pooled SoA sweeps vs "
+        "per-graph kernels; adversarial: "
         "fixed-seed hunt quality and throughput; track: record/check the "
         "BENCH_history.jsonl perf ledger)",
     )
@@ -1197,7 +1185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="kernels: enforce speedup floors instead of re-pinning the "
+        help="batch, adversarial: enforce floors instead of re-pinning the "
         "baseline; track: fail on regression instead of appending an entry",
     )
     p.add_argument("--graphs-per-cell", type=int, default=None)

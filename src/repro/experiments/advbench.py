@@ -34,7 +34,6 @@ from ..adversarial.search import hunt
 from ..adversarial.store import InstanceRecord, build_base_graph, verify_replay, wire_record
 from ..generation.suites import generate_suite
 from ..obs.metrics import MetricsRegistry, use_registry
-from .kernelbench import SEED
 
 __all__ = [
     "SEED",
@@ -43,6 +42,9 @@ __all__ = [
     "run_benchmark",
     "floor_violations",
 ]
+
+#: The paper's master seed; it seeds the base graph and the search.
+SEED = 19940815
 
 #: The hunted pair and objective: how badly CLANS can be made to lose to
 #: DSC, as a makespan ratio (the ROADMAP's worked example).

@@ -8,16 +8,16 @@ measurements, each with a bit-exactness check:
   the per-graph kernel loop over precompiled
   :class:`~repro.core.kernels.GraphIndex` objects against one
   :class:`~repro.core.batch.GraphBatch` sweep over the pooled CSR.  Pack
-  time is measured separately, mirroring ``compile_ms`` in the kernel
-  bench: one pack serves every analysis on the batch, and the production
-  consumers amortize it over chunks larger than one cell (the
-  ``allin_speedup`` field reports the unamortized ratio honestly).
+  time is measured separately: one pack serves every analysis on the
+  batch, and the production consumers amortize it over chunks larger than
+  one cell (the ``allin_speedup`` field reports the unamortized ratio
+  honestly).
 * **classify micro** — section-3 granularity over the same cell: the
   scalar :func:`~repro.core.metrics.granularity` loop against
   :meth:`GraphBatch.granularities`.
-* **end to end** — the serial Table-1 suite (five paper heuristics,
-  kernels on in both arms) with batching off against batching on;
-  serialized results must be **byte-identical**.  Level analysis is a
+* **end to end** — the serial Table-1 suite (five paper heuristics) with
+  batching off against batching on; serialized results must be
+  **byte-identical**.  Level analysis is a
   small slice of suite wall time (scheduling dominates), so this ratio
   hovers near 1 and its floor is an anti-regression bound, not a win
   target — the win target is the levels floor.
@@ -30,6 +30,8 @@ times in the baseline JSON are informational only.
 from __future__ import annotations
 
 import platform
+import tempfile
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -43,7 +45,7 @@ from ..generation.random_dag import generate_pdg
 from ..generation.suites import SuiteGraph, generate_suite
 from ..obs.metrics import MetricsRegistry, use_registry
 from ..schedulers import get_scheduler
-from .kernelbench import PAPER_HEURISTICS, SEED, _serialized, floor_violations
+from .persistence import save_results
 from .runner import run_suite
 
 __all__ = [
@@ -53,6 +55,9 @@ __all__ = [
     "run_benchmark",
     "floor_violations",
 ]
+
+SEED = 19940815
+PAPER_HEURISTICS = ["CLANS", "DSC", "MCP", "MH", "HU"]
 
 #: Minimum speedup ratios enforced by ``--check``.  The full levels floor
 #: is the PR's acceptance target (>= 3.5x batched level computation on a
@@ -223,8 +228,8 @@ def _bench_end_to_end(quick: bool, graphs_per_cell: int | None) -> dict:
     )
     scheds = [get_scheduler(name) for name in PAPER_HEURISTICS]
 
-    # Both arms run kernels-on over fresh graph copies (the two arms share
-    # memo keys, so reusing objects would hand arm 2 arm 1's caches).
+    # Both arms run over fresh graph copies (the two arms share memo keys,
+    # so reusing objects would hand arm 2 arm 1's caches).
     with use_registry(MetricsRegistry()), use_batch(True):
         run_suite(_copy_suite(suite[: min(6, len(suite))]), scheds, seed=SEED)
 
@@ -280,3 +285,21 @@ def run_benchmark(*, quick: bool = False, graphs_per_cell: int | None = None) ->
         "classify": classify,
         "end_to_end": end_to_end,
     }
+
+
+def _serialized(results) -> bytes:
+    """The bytes :func:`save_results` writes for ``results``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.json"
+        save_results(results, path)
+        return path.read_bytes()
+
+
+def floor_violations(payload: dict, floors: dict[str, float]) -> list[str]:
+    """Speedup floors missed by ``payload`` (empty list means all met)."""
+    out = []
+    for section, floor in floors.items():
+        speedup = payload[section]["speedup"]
+        if speedup < floor:
+            out.append(f"{section}: {speedup:.2f}x < required {floor:.1f}x")
+    return out

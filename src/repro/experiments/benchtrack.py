@@ -5,7 +5,7 @@ baseline; this module turns those point-in-time files into a *trajectory*:
 
 * :func:`collect_metrics` ingests every ``BENCH_*.json`` it can find and
   extracts the **tracked metrics** — the handful of numbers the repo has
-  promised not to regress (kernel speedups, parallel-suite speedup,
+  promised not to regress (batch speedups, parallel-suite speedup,
   service throughput, batching effectiveness, disabled-telemetry
   overhead);
 * ``repro bench track`` appends one entry per PR to ``BENCH_history.jsonl``
@@ -72,14 +72,11 @@ class TrackedMetric:
         return f"{self.file.removeprefix('BENCH_').removesuffix('.json')}:{self.path}"
 
 
-#: The tracked metrics and their tolerances.  Kernel/suite speedups and
+#: The tracked metrics and their tolerances.  Batch/suite speedups and
 #: service throughput are ratios measured on shared machines → wide
 #: relative bands; cache-miss counts are near-deterministic → absolute;
 #: overhead percentages hover near zero → absolute only.
 TRACKED: tuple[TrackedMetric, ...] = (
-    TrackedMetric("BENCH_kernels.json", "levels/speedup", "higher", rel_tol=0.35),
-    TrackedMetric("BENCH_kernels.json", "simulator/speedup", "higher", rel_tol=0.35),
-    TrackedMetric("BENCH_kernels.json", "end_to_end/speedup", "higher", rel_tol=0.35),
     TrackedMetric("BENCH_batch.json", "levels/speedup", "higher", rel_tol=0.35),
     TrackedMetric("BENCH_batch.json", "classify/speedup", "higher", rel_tol=0.35),
     # The batched end-to-end ratio hovers near 1 (levels are a small slice

@@ -14,10 +14,9 @@ displaced by merely-early ones.
 
 from __future__ import annotations
 
-from ..core.analysis import b_levels_view
+from ..core.kernels import IndexedPool, b_levels_arr, graph_index
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
-from ._pool import ProcessorPool
 from .base import Scheduler, register
 
 
@@ -33,30 +32,31 @@ class DLSScheduler(Scheduler):
         self.max_processors = max_processors
 
     def _schedule(self, graph: TaskGraph) -> Schedule:
-        static_level = b_levels_view(graph, communication=False)
-        seq = {t: i for i, t in enumerate(graph.tasks())}
-        pool = ProcessorPool(graph, max_processors=self.max_processors)
-
-        n_sched_preds = {t: 0 for t in graph.tasks()}
-        ready = {t for t in graph.tasks() if graph.in_degree(t) == 0}
+        gi = graph_index(graph)
+        static_level = b_levels_arr(graph, communication=False)
+        pool = IndexedPool(gi, max_processors=self.max_processors)
+        indeg = gi.in_degree
+        succ_rows = gi.succ_rows
+        n_sched_preds = [0] * gi.n
+        ready = {i for i in range(gi.n) if indeg[i] == 0}
 
         while ready:
+            # candidate processors: all used, plus one fresh if allowed
+            n_cand = pool.n_processors + (1 if pool.can_grow else 0)
             best = None
-            for task in ready:
-                # candidate processors: all used, plus one fresh if allowed
-                n_cand = pool.n_processors + (1 if pool.can_grow else 0)
-                for proc in range(max(n_cand, 1)):
-                    start = pool.est_append(task, proc)
-                    dl = static_level[task] - start
-                    key = (-dl, start, proc, seq[task])
+            for i in ready:
+                for proc in range(n_cand):
+                    start = pool.est_append(i, proc)
+                    dl = static_level[i] - start
+                    key = (-dl, start, proc, i)
                     if best is None or key < best[0]:
-                        best = (key, task, proc, start)
+                        best = (key, i, proc, start)
             assert best is not None
-            _, task, proc, start = best
-            pool.place(task, proc, start)
-            ready.remove(task)
-            for succ in graph.successors(task):
-                n_sched_preds[succ] += 1
-                if n_sched_preds[succ] == graph.in_degree(succ):
-                    ready.add(succ)
+            _, i, proc, start = best
+            pool.place(i, proc, start)
+            ready.remove(i)
+            for j, _ in succ_rows[i]:
+                n_sched_preds[j] += 1
+                if n_sched_preds[j] == indeg[j]:
+                    ready.add(j)
         return pool.schedule

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import heapq
 
-from ..core.analysis import hu_levels_view
-from ..core.kernels import IndexedPool, b_levels_arr, graph_index, kernels_enabled
+from ..core.kernels import IndexedPool, b_levels_arr, graph_index
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
-from ._pool import ProcessorPool
 from .base import Scheduler, register
 
 
@@ -39,13 +37,8 @@ class HuScheduler(Scheduler):
         self.max_processors = max_processors
 
     def _schedule(self, graph: TaskGraph) -> Schedule:
-        if kernels_enabled():
-            return self._schedule_kernel(graph)
-        return self._schedule_dict(graph)
-
-    def _schedule_kernel(self, graph: TaskGraph) -> Schedule:
-        """Same algorithm on the compiled index (id == insertion order)."""
         gi = graph_index(graph)
+        # Hu levels; ties break on the task id (insertion order).
         level = b_levels_arr(graph, communication=False)
         pool = IndexedPool(gi, max_processors=self.max_processors)
         indeg = gi.in_degree
@@ -63,24 +56,4 @@ class HuScheduler(Scheduler):
                 n_sched_preds[j] += 1
                 if n_sched_preds[j] == indeg[j]:
                     heapq.heappush(free, (-level[j], j))
-        return pool.schedule
-
-    def _schedule_dict(self, graph: TaskGraph) -> Schedule:
-        level = hu_levels_view(graph)
-        seq = {t: i for i, t in enumerate(graph.tasks())}
-        pool = ProcessorPool(graph, max_processors=self.max_processors)
-
-        n_sched_preds = {t: 0 for t in graph.tasks()}
-        free = [(-level[t], seq[t], t) for t in graph.tasks() if graph.in_degree(t) == 0]
-        heapq.heapify(free)
-
-        while free:
-            _, _, task = heapq.heappop(free)
-            proc, _avail = pool.earliest_available_processor()
-            start = pool.est_append(task, proc)
-            pool.place(task, proc, start)
-            for succ in graph.successors(task):
-                n_sched_preds[succ] += 1
-                if n_sched_preds[succ] == graph.in_degree(succ):
-                    heapq.heappush(free, (-level[succ], seq[succ], succ))
         return pool.schedule

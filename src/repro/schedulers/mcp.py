@@ -17,19 +17,16 @@ Appendix A.2 / Figure 9 of the paper.  The heuristic:
 
 from __future__ import annotations
 
-from ..core.analysis import alap_times_view
 from ..core.kernels import (
     GraphIndex,
     IndexedPool,
     alap_arr,
     descendant_masks,
     graph_index,
-    kernels_enabled,
 )
 from ..core.schedule import Schedule
 from ..core.taskgraph import Task, TaskGraph
 from ..obs.metrics import get_registry
-from ._pool import ProcessorPool
 from .base import Scheduler, register
 
 
@@ -50,12 +47,6 @@ class MCPScheduler(Scheduler):
         self.max_processors = max_processors
 
     def _schedule(self, graph: TaskGraph) -> Schedule:
-        if kernels_enabled():
-            return self._schedule_kernel(graph)
-        return self._schedule_dict(graph)
-
-    def _schedule_kernel(self, graph: TaskGraph) -> Schedule:
-        """Same algorithm on the compiled index (id == insertion order)."""
         gi = graph_index(graph)
         order = self._priority_order_ids(graph, gi)
         pool = IndexedPool(gi, max_processors=self.max_processors)
@@ -77,33 +68,15 @@ class MCPScheduler(Scheduler):
         registry.inc("mcp.slot_insertions", n_slot_insertions)
         return pool.schedule
 
-    def _schedule_dict(self, graph: TaskGraph) -> Schedule:
-        order = self.priority_order(graph)
-        pool = ProcessorPool(graph, max_processors=self.max_processors)
-        n_slot_insertions = 0
-        for task in order:
-            proc, start = pool.best_processor(task, insertion=self.insertion)
-            if (
-                self.insertion
-                and proc < pool.n_processors
-                and start + graph.weight(task) <= pool.avail(proc) - 1e-12
-            ):
-                # placed into an idle gap, not appended after the last task
-                n_slot_insertions += 1
-            pool.place(task, proc, start)
-        registry = get_registry()
-        if self.insertion:
-            registry.inc("mcp.insertion_attempts", len(order))
-        registry.inc("mcp.slot_insertions", n_slot_insertions)
-        return pool.schedule
-
     @staticmethod
     def _priority_order_ids(graph: TaskGraph, gi: GraphIndex) -> list[int]:
-        """Kernel variant of :meth:`priority_order`, on integer ids.
+        """Ids ordered most-critical-first by (own ALAP, descendant ALAPs).
 
-        Descendant sets come from one reverse-topological bitmask sweep
-        instead of per-task set-building DFS; keys and tie-breaks are
-        unchanged (id == insertion order == ``seq``).
+        Remaining ties go to the smaller id (insertion order).  Every
+        ancestor has a strictly smaller ALAP time than its descendants (node
+        weights are positive along the connecting path), so the order is
+        topological.  Descendant sets come from one reverse-topological
+        bitmask sweep.
         """
         alap = alap_arr(graph, communication=True)
         masks = descendant_masks(gi)
@@ -121,20 +94,7 @@ class MCPScheduler(Scheduler):
 
     @staticmethod
     def priority_order(graph: TaskGraph) -> list[Task]:
-        """Tasks ordered most-critical-first by (own ALAP, descendant ALAPs).
-
-        Every ancestor has a strictly smaller ALAP time than its descendants
-        (node weights are positive along the connecting path), so the order
-        is topological.
-        """
-        if kernels_enabled():
-            gi = graph_index(graph)
-            tasks = gi.tasks
-            return [tasks[i] for i in MCPScheduler._priority_order_ids(graph, gi)]
-        alap = alap_times_view(graph, communication=True)
-        seq = {t: i for i, t in enumerate(graph.tasks())}
-        keys: dict[Task, tuple] = {}
-        for t in graph.tasks():
-            tl_list = sorted([alap[t]] + [alap[d] for d in graph.descendants(t)])
-            keys[t] = (tuple(tl_list), seq[t])
-        return sorted(graph.tasks(), key=keys.__getitem__)
+        """Tasks in MCP's priority order (see :meth:`_priority_order_ids`)."""
+        gi = graph_index(graph)
+        tasks = gi.tasks
+        return [tasks[i] for i in MCPScheduler._priority_order_ids(graph, gi)]

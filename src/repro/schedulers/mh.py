@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import heapq
 
-from ..core.analysis import b_levels_view
-from ..core.kernels import IndexedPool, b_levels_arr, graph_index, kernels_enabled
+from ..core.kernels import IndexedPool, b_levels_arr, graph_index
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
-from ._pool import ProcessorPool
 from .base import Scheduler, register
 
 
@@ -41,13 +39,10 @@ class MHScheduler(Scheduler):
         self.max_processors = max_processors
 
     def _schedule(self, graph: TaskGraph) -> Schedule:
-        if kernels_enabled():
-            return self._schedule_kernel(graph)
-        return self._schedule_dict(graph)
-
-    def _schedule_kernel(self, graph: TaskGraph) -> Schedule:
-        """Same algorithm on the compiled index (id == insertion order)."""
         gi = graph_index(graph)
+        # The inserted exit node has weight 0 and zero-cost in-edges, so the
+        # level it induces equals the plain communication-inclusive b-level.
+        # Ties break on the task id (insertion order).
         level = b_levels_arr(graph, communication=True)
         pool = IndexedPool(gi, max_processors=self.max_processors)
         indeg = gi.in_degree
@@ -59,46 +54,18 @@ class MHScheduler(Scheduler):
         n_done = 0
 
         while n_done < gi.n:
+            # Drain the free list: allocate every currently-free task.
             while free:
                 _, i = heapq.heappop(free)
                 proc, start = pool.best_processor(i, insertion=False)
                 pool.place(i, proc, start)
                 heapq.heappush(events, (pool.finish[i], i))
                 n_done += 1
+            # Drain the event list, releasing satisfied successors.
             while events:
                 _, i = heapq.heappop(events)
                 for j, _ in succ_rows[i]:
                     n_sched_preds[j] += 1
                     if n_sched_preds[j] == indeg[j]:
                         heapq.heappush(free, (-level[j], j))
-        return pool.schedule
-
-    def _schedule_dict(self, graph: TaskGraph) -> Schedule:
-        # The inserted exit node has weight 0 and zero-cost in-edges, so the
-        # level it induces equals the plain communication-inclusive b-level.
-        level = b_levels_view(graph, communication=True)
-        seq = {t: i for i, t in enumerate(graph.tasks())}
-        pool = ProcessorPool(graph, max_processors=self.max_processors)
-
-        n_sched_preds = {t: 0 for t in graph.tasks()}
-        free = [(-level[t], seq[t], t) for t in graph.tasks() if graph.in_degree(t) == 0]
-        heapq.heapify(free)
-        events: list[tuple[float, int, object]] = []
-        n_done = 0
-
-        while n_done < graph.n_tasks:
-            # Drain the free list: allocate every currently-free task.
-            while free:
-                _, _, task = heapq.heappop(free)
-                proc, start = pool.best_processor(task, insertion=False)
-                pool.place(task, proc, start)
-                heapq.heappush(events, (pool.schedule.finish(task), seq[task], task))
-                n_done += 1
-            # Drain the event list, releasing satisfied successors.
-            while events:
-                _, _, task = heapq.heappop(events)
-                for succ in graph.successors(task):
-                    n_sched_preds[succ] += 1
-                    if n_sched_preds[succ] == graph.in_degree(succ):
-                        heapq.heappush(free, (-level[succ], seq[succ], succ))
         return pool.schedule

@@ -1015,7 +1015,10 @@ class ServerThread:
             and self._loop is not None
             and self._server is not None
         ):
-            self._loop.call_soon_threadsafe(self._server.begin_drain)
+            try:
+                self._loop.call_soon_threadsafe(self._server.begin_drain)
+            except RuntimeError:  # the loop closed since the check: drained
+                pass
         if self._thread is not None:
             self._thread.join(timeout)
             if self._thread.is_alive():

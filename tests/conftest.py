@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -144,3 +147,13 @@ def tasks_with_zero_max_edge(g: TaskGraph):
         if edges and max(edges.values()) <= 0:
             out.append(t)
     return out
+
+
+def serialized(results) -> bytes:
+    """The bytes ``save_results`` writes for ``results``: byte identity."""
+    from repro.experiments.persistence import save_results
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.json"
+        save_results(results, path)
+        return path.read_bytes()

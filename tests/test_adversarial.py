@@ -54,7 +54,6 @@ from repro.core.batch import use_batch
 from repro.core.exceptions import AdversarialError, GraphError
 from repro.core.taskgraph import TaskGraph
 from repro.core.wire import graph_digest, graph_to_wire
-from repro.experiments.kernelbench import _serialized
 from repro.experiments.runner import run_suite
 from repro.generation.random_dag import generate_pdg
 from repro.generation.suites import (
@@ -65,6 +64,8 @@ from repro.generation.suites import (
     generate_suite,
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
+
+from conftest import serialized
 
 SEED = 19940815
 
@@ -512,10 +513,10 @@ class TestSuiteIntegration:
         ) + suite
 
         with use_batch(True):
-            batched = _serialized(run_suite([s for s in mixed], None, seed=SEED))
+            batched = serialized(run_suite([s for s in mixed], None, seed=SEED))
         with use_batch(False):
-            unbatched = _serialized(run_suite([s for s in mixed], None, seed=SEED))
-        parallel = _serialized(run_suite([s for s in mixed], None, seed=SEED, jobs=2))
+            unbatched = serialized(run_suite([s for s in mixed], None, seed=SEED))
+        parallel = serialized(run_suite([s for s in mixed], None, seed=SEED, jobs=2))
         assert batched == unbatched == parallel
 
     def test_checkpoint_resume_is_byte_identical(self, tmp_path):
@@ -525,11 +526,11 @@ class TestSuiteIntegration:
         suite = list(adversarial_suite(tmp_path))
         journal = tmp_path / "checkpoint.jsonl"
 
-        plain = _serialized(run_suite(list(suite), None, seed=SEED))
-        first = _serialized(
+        plain = serialized(run_suite(list(suite), None, seed=SEED))
+        first = serialized(
             run_suite(list(suite), None, seed=SEED, checkpoint=journal)
         )
-        resumed = _serialized(
+        resumed = serialized(
             run_suite(list(suite), None, seed=SEED, checkpoint=journal)
         )
         assert plain == first == resumed

@@ -2,13 +2,12 @@
 
 The batch layer's whole contract is "invisible except for speed": every
 number it primes must be *bitwise* equal to what the per-graph kernels
-(and therefore the dict reference paths) would compute lazily, under
-every combination of ``REPRO_BATCH`` x ``REPRO_KERNELS``, and a suite
-run with batching on must serialize byte-identically to one with it
-off.  CI's ``batch-smoke`` job runs this file twice — once with
+would compute lazily, with ``REPRO_BATCH`` on or off, and a suite run
+with batching on must serialize byte-identically to one with it off.
+CI's ``batch-smoke`` job runs this file twice — once with
 ``REPRO_BATCH=1`` and once with ``=0`` — so the assertions here are
-written against explicit ``use_batch``/``use_kernels`` toggles, never
-against the ambient environment.
+written against explicit ``use_batch`` toggles, never against the
+ambient environment.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.core.batch import (
     use_batch,
 )
 from repro.core.exceptions import CycleError, GraphError
-from repro.core.kernels import GraphIndex, graph_index, use_kernels
+from repro.core.kernels import GraphIndex, graph_index
 from repro.core.metrics import (
     anchor_out_degree,
     granularity,
@@ -36,6 +35,8 @@ from repro.core.metrics import (
 )
 from repro.generation.random_dag import generate_pdg
 from repro.obs.metrics import MetricsRegistry, use_registry
+
+from conftest import serialized
 
 SEED = 19940815
 
@@ -95,17 +96,16 @@ GRAPHS = [g for _, g in CORPUS]
 
 
 def _reference_levels(g: TaskGraph) -> dict:
-    """Dict-path analysis on a fresh copy (the ground truth both the
-    kernels and the batch must match bit for bit)."""
-    with use_kernels(False):
-        ref = g.copy()
-        return {
-            "t": t_levels(ref, communication=True),
-            "t0": t_levels(ref, communication=False),
-            "b": b_levels(ref, communication=True),
-            "hu": hu_levels(ref),
-            "alap": alap_times(ref, communication=True),
-        }
+    """Per-graph analysis on a fresh copy, never primed by a batch: the
+    lazy values the batch must match bit for bit."""
+    ref = g.copy()
+    return {
+        "t": t_levels(ref, communication=True),
+        "t0": t_levels(ref, communication=False),
+        "b": b_levels(ref, communication=True),
+        "hu": hu_levels(ref),
+        "alap": alap_times(ref, communication=True),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -118,26 +118,18 @@ class TestToggles:
     def test_use_batch_nests_and_restores(self):
         initial = batch_mod._enabled
         with use_batch(True):
-            with use_kernels(True):
-                assert batch_enabled()
+            assert batch_enabled()
             with use_batch(False):
                 assert not batch_enabled()
                 with use_batch(True):
-                    with use_kernels(True):
-                        assert batch_enabled()
+                    assert batch_enabled()
                 assert not batch_enabled()
         assert batch_mod._enabled == initial
-
-    def test_batch_requires_kernels(self):
-        # The batch packs compiled indexes: REPRO_KERNELS=0 disables it too.
-        with use_batch(True), use_kernels(False):
-            assert not batch_enabled()
-            assert batch_analyze([GRAPHS[0].copy()]) == 0
 
     def test_degrades_without_numpy(self, monkeypatch):
         monkeypatch.setattr(batch_mod, "_np", None)
         assert not numpy_available()
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             assert not batch_enabled()
             assert batch_analyze([GRAPHS[0].copy()]) == 0
         with pytest.raises(RuntimeError):
@@ -145,7 +137,7 @@ class TestToggles:
 
 
 # ----------------------------------------------------------------------
-# pooled level sweeps: bitwise equal to the dict reference paths
+# pooled level sweeps: bitwise equal to the per-graph kernels
 # ----------------------------------------------------------------------
 class TestBatchLevelEquivalence:
     @pytest.fixture(scope="class")
@@ -266,7 +258,7 @@ class TestClassificationEquivalence:
 class TestBatchAnalyze:
     def test_primes_the_kernel_memo_keys(self):
         g = GRAPHS[2].copy()
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             assert batch_analyze([g]) == 1
         for key in batch_mod._LEVEL_KEYS + (batch_mod._KEY_SERIAL,):
             assert g.has_cached(key)
@@ -274,7 +266,7 @@ class TestBatchAnalyze:
     def test_primed_values_equal_lazy_values(self):
         g = GRAPHS[3]
         primed = g.copy()
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             batch_analyze([primed])
             ref = _reference_levels(g)
             assert t_levels(primed, communication=True) == ref["t"]
@@ -285,7 +277,7 @@ class TestBatchAnalyze:
     def test_dedup_and_already_primed_counters(self):
         g = GRAPHS[4].copy()
         registry = MetricsRegistry()
-        with use_registry(registry), use_batch(True), use_kernels(True):
+        with use_registry(registry), use_batch(True):
             assert batch_analyze([g, g, g]) == 1  # deduped by identity
             assert batch_analyze([g]) == 0  # memos already primed
         counters = registry.counters()
@@ -300,7 +292,7 @@ class TestBatchAnalyze:
         # recompile.
         g = GRAPHS[5].copy()
         registry = MetricsRegistry()
-        with use_registry(registry), use_batch(True), use_kernels(True):
+        with use_registry(registry), use_batch(True):
             gi = graph_index(g)  # pre-compile
             batch_analyze([g])
             assert graph_index(g) is gi  # still the same compiled object
@@ -315,7 +307,7 @@ class TestBatchAnalyze:
         cyc.add_edge("a", "b", 1)
         cyc.add_edge("b", "a", 1)
         ok = GRAPHS[1].copy()
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             assert batch_analyze([cyc, ok]) == 1  # cyclic graph skipped
             with pytest.raises(CycleError):
                 t_levels(cyc)  # the on-demand path still reports it
@@ -334,7 +326,7 @@ class TestBatchAnalyze:
 
         ok1, ok2 = GRAPHS[1].copy(), GRAPHS[2].copy()
         registry = MetricsRegistry()
-        with use_registry(registry), use_batch(True), use_kernels(True):
+        with use_registry(registry), use_batch(True):
             report = batch_analyze([_cycle(), ok1, _cycle(), ok2])
         assert isinstance(report, batch_mod.BatchReport)
         assert report == 2
@@ -350,7 +342,7 @@ class TestBatchAnalyze:
             cyc.add_edge("b", "a", 1)
             return cyc
 
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             report = batch_analyze([_cycle(), _cycle()])
         assert report == 0
         assert report.skipped == (0, 1)
@@ -360,7 +352,7 @@ class TestBatchAnalyze:
         with use_batch(False):
             report = batch_analyze([g])
         assert report == 0 and report.skipped == ()
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             report = batch_analyze([])
         assert report == 0 and report.skipped == ()
 
@@ -373,7 +365,7 @@ class TestBatchAnalyze:
 
     def test_mutation_invalidates_primed_memos(self):
         g = GRAPHS[7].copy()
-        with use_batch(True), use_kernels(True):
+        with use_batch(True):
             batch_analyze([g])
             assert g.has_cached(batch_mod._KEY_T)
             g.add_task("fresh", 1.0)
@@ -385,17 +377,16 @@ class TestBatchAnalyze:
 
 
 # ----------------------------------------------------------------------
-# the REPRO_BATCH x REPRO_KERNELS matrix: four ways, one answer
+# REPRO_BATCH on and off: one answer
 # ----------------------------------------------------------------------
 class TestFallbackMatrix:
-    @pytest.mark.parametrize("kernels_on", [False, True], ids=["k0", "k1"])
     @pytest.mark.parametrize("batch_on", [False, True], ids=["b0", "b1"])
-    def test_all_four_combinations_bit_identical(self, batch_on, kernels_on):
+    def test_batch_on_and_off_bit_identical(self, batch_on):
         results = []
         for name, g in CORPUS[:8] + _edge_case_graphs():
             work = g.copy()
-            with use_batch(batch_on), use_kernels(kernels_on):
-                batch_analyze([work])  # no-op unless both layers are on
+            with use_batch(batch_on):
+                batch_analyze([work])  # no-op unless batching is on
                 entry = {
                     "t": t_levels(work, communication=True),
                     "b": b_levels(work, communication=True),
@@ -442,12 +433,11 @@ class TestSuiteByteIdentity:
         ]
 
     def _run(self, suite, scheds, *, batch_on, jobs=1):
-        from repro.experiments.kernelbench import _serialized
         from repro.experiments.runner import run_suite
 
-        with use_batch(batch_on), use_kernels(True):
+        with use_batch(batch_on):
             results = run_suite(self._fresh(suite), scheds, seed=SEED, jobs=jobs)
-        return _serialized(results)
+        return serialized(results)
 
     def test_serial_on_off_byte_identical(self, suite_and_scheds):
         suite, scheds = suite_and_scheds

@@ -9,17 +9,21 @@ improvement), regenerate the constants with::
     python -c "import tests.test_golden as g; print(g.regenerate())"
 
 sha256 digests pin whole outputs byte for byte: the generated Table-1
-graphs at two master seeds, CLANS's schedules over the default-seed
-Table-1 suite, and the result of the fixed-seed advbench hunt (best
-instance digest plus the op log that rebuilds it).  A performance change
-must leave them unchanged; regenerate them with ``suite_graphs_digest()``,
-``clans_suite_digest()`` and ``hunt_digest()`` only for an intended change
+graphs at two master seeds; every registered scheduler's schedules over
+the default-seed Table-1 suite and over a seeded corpus of tiny graphs,
+plus the bounded and ablation variants; the clan trees, levels and
+critical paths of that suite; and the result of the fixed-seed advbench
+hunt (best instance digest plus the op log that rebuilds it).  A
+performance change or a refactor must leave them unchanged; regenerate
+them with ``suite_graphs_digest()``, ``schedules_digest()``,
+``analysis_digest()`` and ``hunt_digest()`` only for an intended change
 of behaviour.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -28,10 +32,13 @@ from repro import get_scheduler
 from repro.adversarial.objective import make_objective
 from repro.adversarial.search import hunt
 from repro.adversarial.store import build_base_graph, wire_record
+from repro.clans.decomposition import decompose
+from repro.core.analysis import alap_times, b_levels, critical_path, t_levels
 from repro.core.wire import dumps, graph_to_wire
 from repro.experiments.advbench import BASE_SPEC, OBJECTIVE, PAIR, POLICY, SEED
 from repro.generation.random_dag import generate_pdg
 from repro.generation.suites import generate_suite
+from repro.schedulers import SCHEDULER_REGISTRY
 
 #: (band, anchor, seed) -> {heuristic: makespan}; values were produced by
 #: this library at v1.0.0 and every entry was validated against the
@@ -104,6 +111,72 @@ SUITE_GRAPHS_SHA256 = {
 #: sha256 of CLANS's ``Schedule.to_dict`` over ``generate_suite(
 #: graphs_per_cell=1)`` (seed 19940815, 60 graphs of 40-100 tasks).
 CLANS_SUITE_SHA256 = "72e6d0bb35037896a424b76254aea5242a4a96738b95a9e2fd1b0bf0dca1dfb2"
+#: The same digest for every other scheduler.  GA and SA run on the first
+#: ``SLOW_PREFIX`` graphs only (each takes over 10 s on all 60); OPT
+#: refuses graphs this large and is pinned on ``TINY_SCHEDULES_SHA256``
+#: alone.  Keys name a registered scheduler, or a variant in ``VARIANTS``.
+SUITE_SCHEDULES_SHA256 = {
+    "ADAPT": "636c905496bd0f93c39578ff14cabc1d9912307acc599f3bfd250b18b8efe614",
+    "DLS": "b46dce992c326487f297aebd61df4d7afab5461123980117aed44ef7a41af357",
+    "DLS(max_processors=2)": "bcc3ebde0c43ababb94b3c32d514a79667a9610cfa86df72d2c5bd68a8b7847d",
+    "DSC": "cb95e31533705c9100296e8fec4d9d3323e547c9bfb8d3a57f9c72c956b985c6",
+    "DSC(use_ct2=False)": "92a72a361b6c1247d6995bd0170e1cf1e44510b8d0896cbb2042e359c95a6688",
+    "ETF": "f5328abe1002c72df25eba53a31d2e8a3e9ad42db4f473f4007a85af76492f21",
+    "ETF(max_processors=2)": "d55caa3c0ca32bf3154c353e1bffc749cd942353dbf818adde81067dc382a36e",
+    "EZ": "409657f60f88bb70777bef1b7ee760127a6f4860fc299cf0d68768f8e62d3574",
+    "GA": "4e72c4ccef6737f0d64bc953d495d425edfa666c99639d94363a95a43d0c52c9",
+    "HLFET": "c5ccda0eebfd581e4aa3ab8c80847c0520800ab07a959e6f5661558f13a49a96",
+    "HLFET(max_processors=2)": "56ef8e978d988da65af4bfef344ca3acc2b3115711623eb291d2af65bd5182c2",
+    "HU": "f2869a0a53c40b48ed76678d618c2f1497f70ebd743bde25a7e9fde20b66c44b",
+    "HU(max_processors=2)": "aa8459510f617105d09d030cae33d023cce83a29c89503a72fff472e2d029c3a",
+    "LC": "a224728210b85cbf12f2c0d45eb8207223e30a01a310efe0b5a297b2fc199449",
+    "MCP": "ba86e340cb43bbab1c48ebdbe5495f322adf2033838070d2fd18a2844032f85c",
+    "MCP(insertion=False)": "75b9c3c2806f6e76208ddb33b7b2e049382b2388226fcb5a7a3acfccbc2f1e43",
+    "MCP(max_processors=2)": "746cf412c857beea456b5abb75e01c4634a8556861929237d079dd2d71bddfec",
+    "MH": "259a74980872ddadfeccf9d7b8e2959edaa5cd129f8d9e6dbd1a3208ec4505c9",
+    "MH(max_processors=2)": "7e5eab8bf689851fdf50ae5df64a6660e66eaecb0096cff9845fc8f24f622569",
+    "SA": "b0fe0482c2741d9f92f9896f2d6b8d6a7648abb445a21b07ffbb1434abba0dd7",
+    "SERIAL": "56e28c50afca2649ee138a1a3aae7b6e3c7a6919bede89cabce482735a742eb3",
+}
+#: The same digest over ``_tiny_graphs()``: 20 seeded PDGs of 4-8 tasks.
+TINY_SCHEDULES_SHA256 = {
+    "ADAPT": "39ab181e37ae1aa620be880a1b956ed44aba7783fff87d290b6e4ae997b97f82",
+    "CLANS": "9a7b51bac0efecb917fd3d561d0f6e001573ddbdc737ad9ccf812165b9323dff",
+    "DLS": "bc345709b6c17a5b36ca9d774e176ca0ae67bf55034668d623ea20a83e3e8de5",
+    "DSC": "656e85e2d3d9b42e1a74d9344f8b1d3c2fda6947f83cfcee3f16f4789fb0000e",
+    "ETF": "5840855304fedf0a2598472397d934e3a62883c7d9dc5335f2b1d3aba23b1b65",
+    "EZ": "816a87fa18ee792a3fe82c759e1e29326b71ad07ea6dff99d189a31ac966dab1",
+    "GA": "bbf0a155289f8e2e54fb4d103ebbaf5503e4965b4c66572ad88f8d1bd8f075c6",
+    "HLFET": "3fd5e2c770437968a44e7e4fbe3033dfadbc69aea006b153941718902297581e",
+    "HU": "c1aa4ba7aa00cfd08b364fd0f48482181dbb98debffca3fa1b2a663e47ff1440",
+    "LC": "6e3c31774c44985a05cfc220a005fe1001f6b7cc0a95e775a447c289c98586f8",
+    "MCP": "4b73d85171e6a64eb1bec8eaa0e80152cb10617c536e0c554c3c268c84ed65f2",
+    "MH": "1385e9c5db8a6ff0e3b1aa82451419e499c7d364c15a88285bd6ad617e2053be",
+    "OPT": "1b72875dd06095549cc1ddb0da64c18d6e5024ebe29f3694dc4aee9b59c7a535",
+    "SA": "6dbd40413800fffb976f61e672e4d78a8a41b05a488876f953081ffb2cbaf8e8",
+    "SERIAL": "ff4e6ad6b79cd9b4fab7955c62a965fe1bbe390e3af5197caa664a91dbede61d",
+}
+SLOW_PREFIX = 4
+SLOW = ("GA", "SA")
+#: Constructor arguments of the pinned non-default variants: the direct
+#: bounded list schedulers and the two ablation switches.
+VARIANTS = {
+    **{
+        f"{name}(max_processors=2)": (name, {"max_processors": 2})
+        for name in ("MH", "HU", "ETF", "HLFET", "MCP", "DLS")
+    },
+    "MCP(insertion=False)": ("MCP", {"insertion": False}),
+    "DSC(use_ct2=False)": ("DSC", {"use_ct2": False}),
+}
+#: sha256 of the default-seed suite's analyses, one line per graph: the
+#: clan parse tree, and t-levels, b-levels, ALAP times and the critical
+#: path with communication on (``comm``) and off (``no_comm``).  The level
+#: lines keep each mapping's iteration order.
+ANALYSIS_SHA256 = {
+    "clan_trees": "6f41d48ac557e19c067458c30e28182d3f497d92bb367eac929348f3ee1fa3ac",
+    "comm": "fee6a359b26618435e34693a66b8e7d66d33e626ce73dd2266c11c63ea85450a",
+    "no_comm": "d12b06afead65291ea4906aca137731c0abbcad9bf342aa8bb6a3bfc28648057",
+}
 #: sha256 of ``[best digest, best op log]`` of the advbench hunt
 #: (``BASE_SPEC``, DSC vs CLANS ratio, annealing, seed ``SEED``) at
 #: ``HUNT_STEPS`` steps of neighborhood 8.
@@ -119,13 +192,63 @@ def suite_graphs_digest(seed: int) -> str:
     return h.hexdigest()
 
 
-def clans_suite_digest() -> str:
-    clans = get_scheduler("CLANS")
+def _digest(lines) -> str:
     h = hashlib.sha256()
-    for sg in generate_suite(graphs_per_cell=1):
-        h.update(dumps(clans.schedule(sg.graph).to_dict()).encode())
+    for line in lines:
+        h.update(dumps(line).encode())
         h.update(b"\n")
     return h.hexdigest()
+
+
+@lru_cache(maxsize=None)
+def _suite_graphs() -> tuple:
+    """The default-seed suite, generated once for every digest here."""
+    return tuple(sg.graph for sg in generate_suite(graphs_per_cell=1))
+
+
+@lru_cache(maxsize=None)
+def _tiny_graphs() -> tuple:
+    """Seeded PDGs of 4-8 tasks in every band: small enough for OPT."""
+    return tuple(
+        generate_pdg(
+            np.random.default_rng(SEED + k),
+            n_tasks=4 + k % 5,
+            band=k % 5,
+            anchor=2,
+            weight_range=(20, 100),
+        )
+        for k in range(20)
+    )
+
+
+def _make(key: str):
+    name, kwargs = VARIANTS.get(key, (key, {}))
+    return SCHEDULER_REGISTRY[name](**kwargs)
+
+
+def schedules_digest(key: str, graphs) -> str:
+    scheduler = _make(key)
+    return _digest(scheduler.schedule(g).to_dict() for g in graphs)
+
+
+def _tree(node):
+    if node.is_leaf:
+        return node.task
+    return [node.kind.name, [_tree(c) for c in node.children]]
+
+
+def _levels(graph, communication: bool) -> list:
+    return [
+        list(f(graph, communication=communication).items())
+        for f in (t_levels, b_levels, alap_times)
+    ] + [critical_path(graph, communication=communication)]
+
+
+def analysis_digest(kind: str) -> str:
+    graphs = _suite_graphs()
+    if kind == "clan_trees":
+        return _digest(_tree(decompose(g)) for g in graphs)
+    return _digest(_levels(g, kind == "comm") for g in graphs)
 
 
 def hunt_digest() -> str:
@@ -148,7 +271,29 @@ class TestGoldenDigests:
         assert suite_graphs_digest(seed) == SUITE_GRAPHS_SHA256[seed]
 
     def test_clans_suite_schedules(self):
-        assert clans_suite_digest() == CLANS_SUITE_SHA256
+        assert schedules_digest("CLANS", _suite_graphs()) == CLANS_SUITE_SHA256
+
+    @pytest.mark.parametrize("key", sorted(SUITE_SCHEDULES_SHA256))
+    def test_suite_schedules(self, key):
+        graphs = _suite_graphs()
+        if key in SLOW:
+            graphs = graphs[:SLOW_PREFIX]
+        assert schedules_digest(key, graphs) == SUITE_SCHEDULES_SHA256[key]
+
+    @pytest.mark.parametrize("key", sorted(TINY_SCHEDULES_SHA256))
+    def test_tiny_schedules(self, key):
+        assert schedules_digest(key, _tiny_graphs()) == TINY_SCHEDULES_SHA256[key]
+
+    def test_every_scheduler_is_pinned(self):
+        assert set(SCHEDULER_REGISTRY) <= set(TINY_SCHEDULES_SHA256)
+        assert set(SCHEDULER_REGISTRY) - {"OPT", "CLANS"} <= set(
+            SUITE_SCHEDULES_SHA256
+        )
+        assert set(VARIANTS) <= set(SUITE_SCHEDULES_SHA256)
+
+    @pytest.mark.parametrize("kind", sorted(ANALYSIS_SHA256))
+    def test_suite_analysis(self, kind):
+        assert analysis_digest(kind) == ANALYSIS_SHA256[kind]
 
     def test_advbench_hunt(self):
         assert hunt_digest() == HUNT_SHA256

@@ -1,12 +1,18 @@
-"""Seeded equivalence sweep: indexed kernels vs the dict implementations.
+"""Seeded checks of the indexed kernels, each against its own definition.
 
-The kernels (``repro.core.kernels``) promise *bit-identical* results to the
-dict-based reference paths — same floats, same tie-breaks, same dict
-ordering.  These tests sweep seeded random PDGs across the paper's testbed
-axes (granularity band, anchor, weight range) plus degenerate shapes
-(single node, chain, fork-join, zero-cost edges) and assert exact equality
-between the two backends at every layer: levels, critical path, the
-simulator, the rewritten schedulers, and the clan decomposition.
+Every computation has one implementation (``repro.core.kernels`` and its
+callers), so these tests check outputs against what they must satisfy,
+not against a second copy of the code: levels against their defining
+recurrences (exactly, float for float) and their iteration order; the
+critical path against the b-levels it follows; the simulator and every
+rewritten scheduler against the shared timing rule and
+``Schedule.validate``.  The clan decomposition is compared with a
+test-only numpy reference kept in this file.  Byte-for-byte outputs are
+pinned separately by the sha256 digests of ``tests/test_golden.py``.
+
+The graphs sweep seeded random PDGs across the paper's testbed axes
+(granularity band, anchor, weight range) plus degenerate shapes (single
+node, chain, fork-join, zero-cost edges).
 """
 
 from __future__ import annotations
@@ -23,22 +29,20 @@ from repro.adversarial.env import PerturbationEnv
 from repro.adversarial.store import build_base_graph
 from repro.clans import ClanKind
 from repro.clans.decomposition import decompose, is_clan
+from repro.clans.parse_tree import ClanNode
+from repro.clans.relations import UNRELATED, RelationMatrix
+from repro.core import simulator
 from repro.core.analysis import (
     alap_times,
     b_levels,
     critical_path,
+    critical_path_length,
     hu_levels,
     t_levels,
+    validate_levels,
 )
-from repro.core.exceptions import ScheduleError
-from repro.core.kernels import (
-    GraphIndex,
-    b_levels_arr,
-    graph_index,
-    kernels_enabled,
-    t_levels_arr,
-    use_kernels,
-)
+from repro.core.exceptions import DecompositionError, ScheduleError
+from repro.core.kernels import GraphIndex, b_levels_arr, graph_index, t_levels_arr
 from repro.core.simulator import simulate_clustering, simulate_ordered
 from repro.experiments.advbench import BASE_SPEC
 from repro.generation.random_dag import generate_pdg
@@ -133,67 +137,62 @@ class TestGraphIndex:
         assert gi2 is not gi1
         assert gi2.n == gi1.n + 1
 
-    def test_use_kernels_toggle_nests_and_restores(self):
-        initial = kernels_enabled()  # REPRO_KERNELS may override the default
-        with use_kernels(True):
-            assert kernels_enabled()
-            with use_kernels(False):
-                assert not kernels_enabled()
-                with use_kernels(True):
-                    assert kernels_enabled()
-                assert not kernels_enabled()
-            assert kernels_enabled()
-        assert kernels_enabled() == initial
-
 
 # ----------------------------------------------------------------------
 # levels / critical path
 # ----------------------------------------------------------------------
+def _assert_level_recurrences(g: TaskGraph, comm: bool) -> None:
+    """t/b-levels and ALAP equal their definitions exactly, in topological
+    (t), reverse topological (b) and insertion (ALAP) order."""
+    tl = t_levels(g, communication=comm)
+    bl = b_levels(g, communication=comm)
+    alap = alap_times(g, communication=comm)
+    topo = list(g.topological_order())
+    assert list(tl) == topo
+    assert list(bl) == topo[::-1]
+    assert list(alap) == list(g.tasks())
+    for t in g.tasks():
+        arrive = [
+            tl[p] + g.weight(p) + (c if comm else 0.0)
+            for p, c in g.in_edges(t).items()
+        ]
+        assert tl[t] == max([0.0, *arrive]), t
+        below = [bl[s] + (c if comm else 0.0) for s, c in g.out_edges(t).items()]
+        assert bl[t] == max([0.0, *below]) + g.weight(t), t
+    cp = max(bl.values(), default=0.0)
+    assert alap == {t: cp - bl[t] for t in g.tasks()}
+    if comm:
+        validate_levels(g, tl, bl)
+
+
 class TestLevelEquivalence:
     @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
     @pytest.mark.parametrize("comm", [True, False])
     def test_levels_exactly_equal(self, g, comm):
-        # memoized per graph, so compute each backend on its own copy
-        with use_kernels(False):
-            ref = g.copy()
-            tl_d = t_levels(ref, communication=comm)
-            bl_d = b_levels(ref, communication=comm)
-            alap_d = alap_times(ref, communication=comm)
-        with use_kernels(True):
-            ker = g.copy()
-            tl_k = t_levels(ker, communication=comm)
-            bl_k = b_levels(ker, communication=comm)
-            alap_k = alap_times(ker, communication=comm)
-        # == on dicts ignores order; the kernels promise bit-equal floats
-        # AND identical insertion order (callers iterate these dicts).
-        assert tl_d == tl_k and list(tl_d) == list(tl_k)
-        assert bl_d == bl_k and list(bl_d) == list(bl_k)
-        assert alap_d == alap_k and list(alap_d) == list(alap_k)
+        _assert_level_recurrences(g.copy(), comm)
 
     @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
     def test_hu_levels_and_critical_path(self, g):
-        with use_kernels(False):
-            ref = g.copy()
-            hu_d = hu_levels(ref)
-            cp_d = critical_path(ref, communication=True)
-            cpn_d = critical_path(ref, communication=False)
-        with use_kernels(True):
-            ker = g.copy()
-            hu_k = hu_levels(ker)
-            cp_k = critical_path(ker, communication=True)
-            cpn_k = critical_path(ker, communication=False)
-        assert hu_d == hu_k and list(hu_d) == list(hu_k)
-        assert cp_d == cp_k
-        assert cpn_d == cpn_k
+        hu = hu_levels(g)
+        no_comm = b_levels(g, communication=False)
+        assert hu == no_comm and list(hu) == list(no_comm)
+        for comm in (True, False):
+            bl = b_levels(g, communication=comm)
+            path = critical_path(g, communication=comm)
+            assert g.in_degree(path[0]) == 0 and g.out_degree(path[-1]) == 0
+            assert bl[path[0]] == critical_path_length(g, communication=comm)
+            # each step follows a successor that realizes the b-level
+            for u, v in zip(path, path[1:]):
+                c = g.out_edges(u)[v] if comm else 0.0
+                assert bl[u] == bl[v] + c + g.weight(u)
 
     def test_arr_matches_dict_values(self):
         g = GRAPHS[0]
         gi = graph_index(g)
         tl = t_levels_arr(g, communication=True)
         bl = b_levels_arr(g, communication=True)
-        with use_kernels(False):
-            tl_d = t_levels(g.copy(), communication=True)
-            bl_d = b_levels(g.copy(), communication=True)
+        tl_d = t_levels(g.copy(), communication=True)
+        bl_d = b_levels(g.copy(), communication=True)
         for t in g.tasks():
             i = gi.index_of[t]
             assert tl[i] == tl_d[t]
@@ -208,33 +207,68 @@ def _chain_split_clusters(g: TaskGraph, k: int = 4) -> list[list]:
     return [order[i::k] for i in range(k) if order[i::k]]
 
 
+def _processor_orders(schedule) -> list[list]:
+    """Each processor's tasks in start order."""
+    by_proc: dict[int, list] = {}
+    for p in sorted(schedule, key=lambda p: (p.processor, p.start, p.finish)):
+        by_proc.setdefault(p.processor, []).append(p.task)
+    return [by_proc[q] for q in sorted(by_proc)]
+
+
+def _assert_timing_rule(g: TaskGraph, schedule) -> None:
+    """Every start is exactly the shared model's earliest start (DESIGN.md
+    section 2) given the schedule's own processor orders."""
+    schedule.validate(g)
+    for order in _processor_orders(schedule):
+        free = 0.0
+        for t in order:
+            proc = schedule.processor_of(t)
+            start = free
+            for p, c in g.in_edges(t).items():
+                arrival = schedule.finish(p) + (
+                    c if schedule.processor_of(p) != proc else 0.0
+                )
+                if arrival > start:
+                    start = arrival
+            assert schedule.start(t) == start, t
+            free = schedule.finish(t)
+
+
 class TestSimulatorEquivalence:
     @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
     def test_simulate_ordered_identical(self, g):
         clusters = _chain_split_clusters(g)
-        with use_kernels(False):
-            ref = simulate_ordered(g.copy(), clusters)
-        with use_kernels(True):
-            ker = simulate_ordered(g.copy(), clusters)
-        assert ref.to_dict() == ker.to_dict()
+        s = simulate_ordered(g.copy(), clusters)
+        assert _processor_orders(s) == clusters
+        _assert_timing_rule(g, s)
 
     @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
     def test_simulate_clustering_identical(self, g):
         assignment = {t: i % 3 for i, t in enumerate(g.tasks())}
-        with use_kernels(False):
-            ref = simulate_clustering(g.copy(), assignment)
-        with use_kernels(True):
-            ker = simulate_clustering(g.copy(), assignment)
-        assert ref.to_dict() == ker.to_dict()
+        s = simulate_clustering(g.copy(), assignment)
+        _assert_timing_rule(g, s)
+        # the clusters are the b-level priority order, split by processor
+        order = simulator._priority_topological_order(g, b_levels(g))
+        procs = sorted(set(assignment.values()))
+        clusters = [[t for t in order if assignment[t] == q] for q in procs]
+        assert s.to_dict() == simulate_ordered(g, clusters).to_dict()
 
     @pytest.mark.parametrize("flag", [True, False])
-    def test_validation_hoisted_behind_flag(self, flag):
+    def test_validation_hoisted_behind_flag(self, flag, monkeypatch):
         g = GRAPHS[0]
         tasks = list(g.tasks())
-        duplicated = [tasks, [tasks[0]]]
-        with use_kernels(flag):
+        calls = []
+        check = simulator._validate_clusters
+        monkeypatch.setattr(
+            simulator,
+            "_validate_clusters",
+            lambda *args: (calls.append(args), check(*args)),
+        )
+        simulate_ordered(g, [list(g.topological_order())], validate=flag)
+        assert len(calls) == int(flag)
+        if flag:
             with pytest.raises(ScheduleError, match="more than one cluster"):
-                simulate_ordered(g, duplicated)
+                simulate_ordered(g, [tasks, [tasks[0]]])
             with pytest.raises(ScheduleError, match="not clustered"):
                 simulate_ordered(g, [tasks[:-1]])
 
@@ -244,9 +278,8 @@ class TestSimulatorEquivalence:
         for t in "ab":
             g.add_task(t, 1)
         g.add_edge("a", "b", 1)
-        with use_kernels(flag):
-            with pytest.raises(ScheduleError, match="deadlock"):
-                simulate_ordered(g, [["b", "a"]])
+        with pytest.raises(ScheduleError, match="deadlock"):
+            simulate_ordered(g, [["b", "a"]], validate=flag)
 
 
 # ----------------------------------------------------------------------
@@ -256,16 +289,153 @@ class TestSchedulerEquivalence:
     @pytest.mark.parametrize("name", REWRITTEN)
     @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
     def test_schedules_placement_identical(self, name, g):
-        with use_kernels(False):
-            ref = get_scheduler(name).schedule(g).to_dict()
-        with use_kernels(True):
-            ker = get_scheduler(name).schedule(g).to_dict()
-        assert ref == ker
+        s = get_scheduler(name).schedule(g)
+        # every placement is the simulator's timing of its processor order
+        _assert_timing_rule(g, s)
+        again = simulate_ordered(g, _processor_orders(s))
+        assert {p.task: (p.processor, p.start, p.finish) for p in s} == {
+            p.task: (p.processor, p.start, p.finish) for p in again
+        }
 
 
 # ----------------------------------------------------------------------
-# clan decomposition (bitset backend vs numpy backend)
+# clan decomposition: bitsets vs the test-only numpy reference
+#
+# The reference is vectorized over the int8 relation matrix and grows every
+# smallest-module closure to its end, where the bitset implementation stops
+# a closure at a vertex known to lie outside the seed's module.  Both number
+# vertices topologically, discover components in ascending first-vertex
+# order and seed closures in (v, u) order, so the trees, children order
+# included, must coincide.
 # ----------------------------------------------------------------------
+def reference_decompose(graph: TaskGraph) -> ClanNode:
+    rm = RelationMatrix(graph)
+    return _ref_decompose(rm, np.arange(rm.n))
+
+
+def _ref_decompose(rm: RelationMatrix, idx: np.ndarray) -> ClanNode:
+    """Recursive modular decomposition on the vertex subset ``idx``.
+
+    ``idx`` holds positions into ``rm.tasks`` in ascending topological order.
+    """
+    if len(idx) == 1:
+        task = rm.tasks[int(idx[0])]
+        return ClanNode(ClanKind.LEAF, frozenset([task]), task=task)
+
+    sub = rm.matrix[np.ix_(idx, idx)]
+    comparable = sub != UNRELATED  # symmetric boolean matrix
+
+    comp_labels = _ref_components(comparable)
+    if comp_labels.max() > 0:
+        children = [
+            _ref_decompose(rm, idx[comp_labels == label])
+            for label in range(comp_labels.max() + 1)
+        ]
+        children.sort(key=lambda c: min(rm.index[t] for t in c.members))
+        return _ref_internal(ClanKind.INDEPENDENT, children)
+
+    incomparable = ~comparable
+    np.fill_diagonal(incomparable, False)
+    co_labels = _ref_components(incomparable)
+    if co_labels.max() > 0:
+        children = [
+            _ref_decompose(rm, idx[co_labels == label])
+            for label in range(co_labels.max() + 1)
+        ]
+        # Total order between co-components: ascending minimum topological
+        # index orders them (the earliest vertex of the earlier component is
+        # an ancestor of the later component).
+        children.sort(key=lambda c: min(rm.index[t] for t in c.members))
+        for a, b in zip(children, children[1:]):
+            if not rm.is_ancestor(next(iter(a.members)), next(iter(b.members))):
+                raise DecompositionError("linear clan children are not ordered")
+        return _ref_internal(ClanKind.LINEAR, children)
+
+    children = [
+        _ref_decompose(rm, part) for part in _ref_primitive_children(sub, idx)
+    ]
+    children.sort(key=lambda c: min(rm.index[t] for t in c.members))
+    return _ref_internal(ClanKind.PRIMITIVE, children)
+
+
+def _ref_internal(kind: ClanKind, children: list[ClanNode]) -> ClanNode:
+    members = frozenset().union(*(c.members for c in children))
+    return ClanNode(kind, members, children)
+
+
+def _ref_components(adj: np.ndarray) -> np.ndarray:
+    """Connected-component labels of a symmetric boolean adjacency matrix."""
+    n = adj.shape[0]
+    labels = np.full(n, -1, dtype=int)
+    current = 0
+    for start in range(n):
+        if labels[start] != -1:
+            continue
+        stack = [start]
+        labels[start] = current
+        while stack:
+            u = stack.pop()
+            for v in np.flatnonzero(adj[u]):
+                if labels[v] == -1:
+                    labels[v] = current
+                    stack.append(int(v))
+        current += 1
+    return labels
+
+
+def _ref_primitive_children(sub: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
+    """Maximal proper strong modules of a primitive 2-structure.
+
+    ``sub`` is the relation matrix restricted to the clan; returns global
+    index arrays, one per child, partitioning ``idx``.
+    """
+    n = sub.shape[0]
+    assigned = np.full(n, -1, dtype=int)
+    parts: list[np.ndarray] = []
+    for v in range(n):
+        if assigned[v] != -1:
+            continue
+        member = np.zeros(n, dtype=bool)
+        member[v] = True
+        for u in range(n):
+            if u == v or member[u] or assigned[u] != -1:
+                continue
+            closure = _ref_smallest_module(sub, v, u)
+            if not closure.all():  # proper: lies inside v's maximal module
+                member |= closure
+        assigned[np.flatnonzero(member)] = len(parts)
+        parts.append(idx[member])
+    if len(parts) < 2:
+        raise DecompositionError("primitive clan produced fewer than two children")
+    return parts
+
+
+def _ref_smallest_module(rel: np.ndarray, v: int, u: int) -> np.ndarray:
+    """Boolean mask of the smallest module containing vertices ``v`` and ``u``.
+
+    Wave-batched closure: whenever vertices join the module, every outside
+    vertex whose relation to any of them differs from its (uniform) relation
+    to the module becomes a splitter and joins in the next wave.
+    """
+    n = rel.shape[0]
+    member = np.zeros(n, dtype=bool)
+    member[v] = True
+    member[u] = True
+    # ref[z] = relation of z to the module (uniform by the closure invariant)
+    ref = rel[:, v]
+    new = np.array([u], dtype=np.intp)
+    count = 2
+    while new.size:
+        splits = (rel[:, new] != ref[:, None]).any(axis=1)
+        splits &= ~member
+        new = np.flatnonzero(splits)
+        member[new] = True
+        count += new.size
+        if count == n:
+            break
+    return member
+
+
 def _tree_shape(node):
     if node.is_leaf:
         return ("leaf", node.task)
@@ -296,11 +466,7 @@ HUNT = _hunt_graphs()
 
 
 def _both_backends(g):
-    with use_kernels(False):
-        ref = decompose(g)
-    with use_kernels(True):
-        ker = decompose(g)
-    return ref, ker
+    return reference_decompose(g), decompose(g)
 
 
 class TestDecompositionEquivalence:

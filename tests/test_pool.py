@@ -1,11 +1,11 @@
-"""Unit tests for the shared ProcessorPool."""
+"""Unit tests for the list schedulers' shared IndexedPool."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import TaskGraph
-from repro.schedulers._pool import ProcessorPool
+from repro.core.kernels import IndexedPool, graph_index
 
 
 @pytest.fixture
@@ -19,48 +19,54 @@ def graph():
     return g
 
 
+def make_pool(graph, **kwargs):
+    """An :class:`IndexedPool` on ``graph`` plus its task -> id map."""
+    gi = graph_index(graph)
+    return IndexedPool(gi, **kwargs), gi.index_of
+
+
 class TestBookkeeping:
     def test_initially_empty(self, graph):
-        pool = ProcessorPool(graph)
+        pool, _ = make_pool(graph)
         assert pool.n_processors == 0
         assert pool.avail(0) == 0.0
         assert pool.can_grow
 
     def test_place_grows_pool(self, graph):
-        pool = ProcessorPool(graph)
-        pool.place("a", 0, 0.0)
+        pool, ids = make_pool(graph)
+        pool.place(ids["a"], 0, 0.0)
         assert pool.n_processors == 1
         assert pool.avail(0) == 10.0
-        assert pool.proc_of["a"] == 0
+        assert pool.proc_of[ids["a"]] == 0
 
     def test_non_contiguous_rejected(self, graph):
-        pool = ProcessorPool(graph)
+        pool, ids = make_pool(graph)
         with pytest.raises(ValueError):
-            pool.place("a", 3, 0.0)
+            pool.place(ids["a"], 3, 0.0)
 
     def test_bad_cap(self, graph):
         with pytest.raises(ValueError):
-            ProcessorPool(graph, max_processors=0)
+            make_pool(graph, max_processors=0)
 
 
 class TestReadyTimes:
     def test_same_processor_no_comm(self, graph):
-        pool = ProcessorPool(graph)
-        pool.place("a", 0, 0.0)
-        assert pool.ready_time("b", 0) == 10.0
+        pool, ids = make_pool(graph)
+        pool.place(ids["a"], 0, 0.0)
+        assert pool.ready_time(ids["b"], 0) == 10.0
 
     def test_cross_processor_pays(self, graph):
-        pool = ProcessorPool(graph)
-        pool.place("a", 0, 0.0)
-        assert pool.ready_time("b", 1) == 17.0
-        assert pool.ready_time("c", 1) == 13.0
+        pool, ids = make_pool(graph)
+        pool.place(ids["a"], 0, 0.0)
+        assert pool.ready_time(ids["b"], 1) == 17.0
+        assert pool.ready_time(ids["c"], 1) == 13.0
 
     def test_est_append_includes_avail(self, graph):
-        pool = ProcessorPool(graph)
-        pool.place("a", 0, 0.0)
-        pool.place("b", 0, 10.0)
+        pool, ids = make_pool(graph)
+        pool.place(ids["a"], 0, 0.0)
+        pool.place(ids["b"], 0, 10.0)
         # c on proc 0: data ready at 10, proc busy until 30
-        assert pool.est_append("c", 0) == 30.0
+        assert pool.est_append(ids["c"], 0) == 30.0
 
 
 class TestInsertion:
@@ -69,28 +75,28 @@ class TestInsertion:
         g.add_task("x", 10)
         g.add_task("y", 10)
         g.add_task("z", 5)
-        pool = ProcessorPool(g)
-        pool.place("x", 0, 0.0)
-        pool.place("y", 0, 20.0)  # gap [10, 20]
-        assert pool.est_insertion("z", 0) == 10.0
-        assert pool.est_append("z", 0) == 30.0
+        pool, ids = make_pool(g)
+        pool.place(ids["x"], 0, 0.0)
+        pool.place(ids["y"], 0, 20.0)  # gap [10, 20]
+        assert pool.est_insertion(ids["z"], 0) == 10.0
+        assert pool.est_append(ids["z"], 0) == 30.0
 
     def test_gap_too_small(self):
         g = TaskGraph()
         g.add_task("x", 10)
         g.add_task("y", 10)
         g.add_task("z", 15)
-        pool = ProcessorPool(g)
-        pool.place("x", 0, 0.0)
-        pool.place("y", 0, 20.0)
-        assert pool.est_insertion("z", 0) == 30.0
+        pool, ids = make_pool(g)
+        pool.place(ids["x"], 0, 0.0)
+        pool.place(ids["y"], 0, 20.0)
+        assert pool.est_insertion(ids["z"], 0) == 30.0
 
 
 class TestBestProcessor:
     def test_prefers_data_locality(self, graph):
-        pool = ProcessorPool(graph)
-        pool.place("a", 0, 0.0)
-        proc, start = pool.best_processor("b")
+        pool, ids = make_pool(graph)
+        pool.place(ids["a"], 0, 0.0)
+        proc, start = pool.best_processor(ids["b"])
         assert proc == 0 and start == 10.0
 
     def test_fresh_wins_when_local_busy(self):
@@ -99,69 +105,69 @@ class TestBestProcessor:
         g.add_task("blocker", 100)
         g.add_task("b", 10)
         g.add_edge("a", "b", 2)
-        pool = ProcessorPool(g)
-        pool.place("a", 0, 0.0)
-        pool.place("blocker", 0, 10.0)
-        proc, start = pool.best_processor("b")
+        pool, ids = make_pool(g)
+        pool.place(ids["a"], 0, 0.0)
+        pool.place(ids["blocker"], 0, 10.0)
+        proc, start = pool.best_processor(ids["b"])
         assert proc == 1 and start == 12.0
 
     def test_ties_prefer_existing(self):
         g = TaskGraph()
         g.add_task("a", 10)
         g.add_task("b", 10)
-        pool = ProcessorPool(g)
-        pool.place("a", 0, 0.0)
-        pool.place("b", 1, 0.0)
         g.add_task("c", 1)
-        proc, start = pool.best_processor("c")
+        pool, ids = make_pool(g)
+        pool.place(ids["a"], 0, 0.0)
+        pool.place(ids["b"], 1, 0.0)
+        proc, start = pool.best_processor(ids["c"])
         # all options start at 10 (P0), 10 (P1), 0 (fresh): fresh wins here
         assert start == 0.0 and proc == 2
 
 
 class TestBoundedPool:
     def test_cap_stops_growth(self, graph):
-        pool = ProcessorPool(graph, max_processors=1)
-        pool.place("a", 0, 0.0)
+        pool, ids = make_pool(graph, max_processors=1)
+        pool.place(ids["a"], 0, 0.0)
         assert not pool.can_grow
-        proc, start = pool.best_processor("b")
+        proc, start = pool.best_processor(ids["b"])
         assert proc == 0
         proc, _ = pool.earliest_available_processor()
         assert proc == 0
 
     def test_cap_of_two(self, graph):
-        pool = ProcessorPool(graph, max_processors=2)
-        pool.place("a", 0, 0.0)
+        pool, ids = make_pool(graph, max_processors=2)
+        pool.place(ids["a"], 0, 0.0)
         assert pool.can_grow
-        pool.place("b", 1, 17.0)
+        pool.place(ids["b"], 1, 17.0)
         assert not pool.can_grow
 
 
 class TestEarliestAvailable:
     def test_fresh_processor_at_zero(self, graph):
-        pool = ProcessorPool(graph)
-        pool.place("a", 0, 0.0)
+        pool, ids = make_pool(graph)
+        pool.place(ids["a"], 0, 0.0)
         proc, avail = pool.earliest_available_processor()
         assert proc == 1 and avail == 0.0
 
     def test_reuses_idle_existing(self, graph):
-        pool = ProcessorPool(graph, max_processors=2)
-        pool.place("a", 0, 0.0)
-        pool.place("b", 1, 17.0)
+        pool, ids = make_pool(graph, max_processors=2)
+        pool.place(ids["a"], 0, 0.0)
+        pool.place(ids["b"], 1, 17.0)
         proc, avail = pool.earliest_available_processor()
         assert proc == 0 and avail == 10.0
 
 
-def _brute_force_best(pool, task, *, insertion):
+def _brute_force_best(pool, i, *, insertion):
     """The pre-optimization O(P*indeg) reference rule for best_processor."""
     est = pool.est_insertion if insertion else pool.est_append
     if pool.can_grow:
         best_proc = pool.n_processors
-        best_start = est(task, best_proc)
+        best_start = est(i, best_proc)
     else:
         best_proc = 0
-        best_start = est(task, 0)
+        best_start = est(i, 0)
     for proc in range(pool.n_processors):
-        start = est(task, proc)
+        start = est(i, proc)
         if start < best_start - 1e-12 or (
             abs(start - best_start) <= 1e-12 and proc < best_proc
         ):
@@ -189,12 +195,12 @@ class TestBestProcessorAgainstReference:
             anchor=int(rng.integers(2, 6)),
             weight_range=(20, 200),
         )
-        pool = ProcessorPool(g, max_processors=max_processors)
-        for task in g.topological_order():
-            fast = pool.best_processor(task, insertion=insertion)
-            brute = _brute_force_best(pool, task, insertion=insertion)
-            assert fast == brute, f"divergence at {task!r}: {fast} != {brute}"
-            pool.place(task, *fast)
+        pool, _ = make_pool(g, max_processors=max_processors)
+        for i in pool.gi.topo_list:
+            fast = pool.best_processor(i, insertion=insertion)
+            brute = _brute_force_best(pool, i, insertion=insertion)
+            assert fast == brute, f"divergence at id {i}: {fast} != {brute}"
+            pool.place(i, *fast)
         pool.schedule.validate(g)
 
     def test_zero_weight_and_zero_comm_edges(self):
@@ -208,18 +214,18 @@ class TestBestProcessorAgainstReference:
         g.add_edge("b", "d", 0.0)
         g.add_edge("c", "d", 4.0)
         for insertion in (False, True):
-            pool = ProcessorPool(g)
-            for task in g.topological_order():
-                fast = pool.best_processor(task, insertion=insertion)
-                assert fast == _brute_force_best(pool, task, insertion=insertion)
-                pool.place(task, *fast)
+            pool, _ = make_pool(g)
+            for i in pool.gi.topo_list:
+                fast = pool.best_processor(i, insertion=insertion)
+                assert fast == _brute_force_best(pool, i, insertion=insertion)
+                pool.place(i, *fast)
 
     def test_ties_prefer_low_existing_processor(self, graph):
-        pool = ProcessorPool(graph)
-        pool.place("a", 0, 0.0)
+        pool, ids = make_pool(graph)
+        pool.place(ids["a"], 0, 0.0)
         # b and c both ready at 17 on fresh processors (finish 10 + comm 7/3
         # vs waiting on p0): check agreement and determinism of the tie rule
         for task in ("b", "c"):
-            fast = pool.best_processor(task)
-            assert fast == _brute_force_best(pool, task, insertion=False)
-            pool.place(task, *fast)
+            fast = pool.best_processor(ids[task])
+            assert fast == _brute_force_best(pool, ids[task], insertion=False)
+            pool.place(ids[task], *fast)

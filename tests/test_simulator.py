@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ScheduleError, TaskGraph, serial_schedule, simulate_clustering, simulate_ordered
+from repro import (
+    CycleError,
+    ScheduleError,
+    TaskGraph,
+    serial_schedule,
+    simulate_clustering,
+    simulate_ordered,
+)
 
 
 class TestSimulateOrdered:
@@ -109,3 +116,34 @@ class TestSerialSchedule:
 
     def test_speedup_is_one(self, paper_example):
         assert serial_schedule(paper_example).speedup(paper_example) == pytest.approx(1.0)
+
+
+def _cyclic() -> TaskGraph:
+    """``a -> b -> c -> a`` plus an unrelated ``d``: not a DAG."""
+    g = TaskGraph()
+    for t in "abcd":
+        g.add_task(t, 1)
+    g.add_edge("a", "b", 1)
+    g.add_edge("b", "c", 1)
+    g.add_edge("c", "a", 1)
+    return g
+
+
+class TestCyclicGraph:
+    """The public entry points keep one error per entry point on a cycle."""
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_simulate_ordered_reports_a_deadlock(self, validate):
+        with pytest.raises(ScheduleError, match="clustering deadlocks"):
+            simulate_ordered(_cyclic(), [["a", "b", "c"], ["d"]], validate=validate)
+
+    def test_simulate_clustering_raises_cycle_error(self):
+        with pytest.raises(CycleError):
+            simulate_clustering(_cyclic(), {t: 0 for t in "abcd"})
+
+    def test_simulate_clustering_with_priority_reports_the_cycle(self):
+        g = _cyclic()
+        with pytest.raises(ScheduleError, match="graph contains a cycle"):
+            simulate_clustering(
+                g, {t: 0 for t in "abcd"}, priority={t: 1.0 for t in "abcd"}
+            )
