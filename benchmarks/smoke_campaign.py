@@ -9,9 +9,9 @@ campaign tier with a long run)::
 One continuous chaos scenario over a 12-unit campaign:
 
 1. A coordinator (``repro campaign run``, a real subprocess on a Unix
-   socket) starts with **3 worker subprocesses**: two healthy, one
-   "victim" whose ``REPRO_CAMPAIGN_UNIT_DELAY`` makes it sit on its
-   leased unit.
+   socket) starts with **3 worker subprocesses**: one "victim" whose
+   ``REPRO_CAMPAIGN_UNIT_DELAY`` makes it sit on its leased unit, then,
+   once it holds that lease, two healthy ones.
 2. Mid-campaign — with units completed, the victim holding a lease and
    the healthy workers in flight — the victim is **SIGKILLed**, then the
    coordinator itself is **SIGKILLed** (no drain, no goodbye).
@@ -23,15 +23,21 @@ One continuous chaos scenario over a 12-unit campaign:
    per-unit grant counters from the journal must show the victim's lost
    unit re-granted and no unit granted more than twice.
 
-The resumed phase is timed and its unit throughput recorded to
-``benchmarks/out/BENCH_campaign.json`` (tracked by ``repro bench track``
-as ``campaign/units_per_s``).
+The resumed phase is timed and its unit throughput printed.  With
+``--force-write`` it is also recorded to ``--out`` (by default the tracked
+``benchmarks/out/BENCH_campaign.json``, read by ``repro bench track`` as
+``campaign/units_per_s``)::
+
+    PYTHONPATH=src python benchmarks/smoke_campaign.py --force-write
+
+A plain run writes no file in the checkout.
 
 Exits 0 when every assertion holds, 1 with a diagnostic otherwise.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
@@ -138,7 +144,20 @@ def _grant_counts(journal: str) -> dict[str, int]:
     return counts
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--out",
+        default=str(Path(__file__).resolve().parent / "out" / "BENCH_campaign.json"),
+        help="baseline JSON path (written only with --force-write)",
+    )
+    parser.add_argument(
+        "--force-write",
+        action="store_true",
+        help="record the resumed phase's timings to --out",
+    )
+    args = parser.parse_args(argv)
+
     tmp = tempfile.mkdtemp(prefix="repro-campaign-smoke-")
     journal = os.path.join(tmp, "campaign.jsonl")
     sock = os.path.join(tmp, "coord.sock")
@@ -156,6 +175,10 @@ def main() -> int:
     print(f"phase 1: coordinator + 3 workers (1 victim) on {sock}")
     coord = _spawn_coordinator("run", journal, sock, save=None)
     victim = _spawn_worker(sock, "victim", delay=120.0)
+    # The victim leases first, so the lease it never honours is certain to
+    # exist; started together, the healthy workers could drain every unit
+    # before it connected.
+    _wait_status(sock, lambda s: s["leased"] >= 1, "the victim's lease")
     healthy = [_spawn_worker(sock, f"healthy-{i}") for i in (1, 2)]
 
     # Wait until the campaign is genuinely mid-flight: some units merged,
@@ -213,28 +236,28 @@ def main() -> int:
     print(f"  throughput    : {n_units} units in {elapsed:.1f}s resumed phase "
           f"= {units_per_s:.2f} units/s (3 workers)")
 
-    out_dir = Path(__file__).resolve().parent / "out"
-    out_dir.mkdir(exist_ok=True)
-    baseline = {
-        "format": "repro-bench-campaign",
-        "version": 1,
-        "seed": SEED,
-        "platform": {
-            "python": platform.python_version(),
-            "system": platform.system(),
-            "machine": platform.machine(),
-        },
-        "campaign": {
-            "n_units": n_units,
-            "n_workers": 3,
-            "resumed_phase_s": elapsed,
-            "units_per_s": units_per_s,
-            "regranted_units": len(regranted),
-        },
-    }
-    bench_path = out_dir / "BENCH_campaign.json"
-    bench_path.write_text(json.dumps(baseline, indent=1) + "\n")
-    print(f"wrote {bench_path}")
+    if args.force_write:
+        baseline = {
+            "format": "repro-bench-campaign",
+            "version": 1,
+            "seed": SEED,
+            "platform": {
+                "python": platform.python_version(),
+                "system": platform.system(),
+                "machine": platform.machine(),
+            },
+            "campaign": {
+                "n_units": n_units,
+                "n_workers": 3,
+                "resumed_phase_s": elapsed,
+                "units_per_s": units_per_s,
+                "regranted_units": len(regranted),
+            },
+        }
+        bench_path = Path(args.out)
+        bench_path.parent.mkdir(parents=True, exist_ok=True)
+        bench_path.write_text(json.dumps(baseline, indent=1) + "\n")
+        print(f"wrote {bench_path}")
     print("campaign smoke: all scenarios passed")
     return 0
 

@@ -26,7 +26,9 @@ reaches a vertex known to lie outside ``v``'s maximal strong module, it is
 not inside that module, so it is the whole clan.  The known-outside
 vertices are those of earlier children and every earlier ``u`` whose
 closure was the whole clan.  Such a closure stops there and does not grow
-to the full set.
+to the full set.  The closure's first wave is ``u``'s own splitter mask,
+so when that mask already meets a known-outside vertex ``u`` is settled
+without running the closure at all; that settles most pairs.
 
 Relations are integer bitsets, one Python int per vertex row: at testbed
 sizes (n of order 100) the closure waves fit in a few machine words each,
@@ -80,7 +82,16 @@ def _make_internal(kind: ClanKind, children: list[ClanNode]) -> ClanNode:
 
 
 class _BitRelations:
-    """Transitive ancestor/descendant relations as per-vertex bitmasks."""
+    """Transitive ancestor/descendant relations as per-vertex bitmasks.
+
+    ``desc`` is built in reverse topological order from each vertex's
+    successors and ``anc`` in topological order from its predecessors, in
+    one pass over the edges each.  Every ancestor ``j`` of ``i`` reaches
+    ``i`` through some direct predecessor ``p``, and ``j`` is ``p`` itself
+    or an ancestor of ``p``, whose row is complete because ``p`` comes
+    first.  So ``anc[i]`` is exactly the set of ``j`` with ``i`` in
+    ``desc[j]``: the transpose of ``desc``.
+    """
 
     __slots__ = ("tasks", "n", "full", "desc", "anc", "comp", "unrel")
 
@@ -97,11 +108,11 @@ class _BitRelations:
             desc[i] = m
         anc = [0] * n
         for i in range(n):
-            m = desc[i]
-            while m:
-                lsb = m & -m
-                anc[lsb.bit_length() - 1] |= 1 << i
-                m ^= lsb
+            m = 0
+            for p in graph.predecessors(tasks[i]):
+                j = index[p]
+                m |= (1 << j) | anc[j]
+            anc[i] = m
         self.tasks = tasks
         self.n = n
         self.full = (1 << n) - 1
@@ -171,37 +182,30 @@ def _primitive_children_bits(br: _BitRelations, subset: int) -> list[int]:
     Closures are seeded in ascending (v, u) order; each part's smallest
     vertex is its seed, so parts come out ascending.
 
-    For each seed ``v`` (one per part) the splitter masks are hoisted:
-    ``diffs[w]`` is the set of vertices whose relation to ``w`` differs from
-    their relation to ``v`` — the vertices that agree on both are
-    ``(anc[w] & anc[v]) | (desc[w] & desc[v]) | (unrel[w] & unrel[v])``.
-    The closures for every ``u`` under the same ``v`` then reduce to one OR
-    per newly joined vertex per wave.
+    The splitters of a vertex ``w`` against the seed ``v`` are the vertices
+    whose relation to ``w`` differs from their relation to ``v``.  Another
+    vertex ``x`` relates alike to both iff it is an ancestor of both or of
+    neither and a descendant of both or of neither, so (``w`` and ``v``
+    themselves aside, which are members by then) the splitter mask is
+    ``(anc[w] ^ anc[v]) | (desc[w] ^ desc[v])``.
 
     ``outside`` collects the vertices known to lie outside ``v``'s maximal
     strong module: earlier parts, and every ``u`` whose closure was the
     whole clan.  A closure that reaches one of them is the whole clan (see
-    :func:`_smallest_module_bits`), so it stops there.  No closure therefore
-    grows through an earlier part, and ``diffs`` is only filled for the
-    vertices not yet assigned to a part.
+    :func:`_smallest_module_bits`), so it stops there, and no closure grows
+    through an earlier part.  A closure's first wave is ``u``'s own
+    splitter mask, so when that mask meets ``outside`` the closure would
+    stop at its first wave; ``u`` joins ``outside`` without running it.
     """
     parts: list[int] = []
     assigned = 0
     anc = br.anc
     desc = br.desc
-    unrel = br.unrel
-    diffs = [0] * br.n
     while assigned != subset:
         rest = subset & ~assigned
         vbit = rest & -rest
         v = vbit.bit_length() - 1
-        av, dv, uv = anc[v], desc[v], unrel[v]
-        m = rest
-        while m:
-            lsb = m & -m
-            z = lsb.bit_length() - 1
-            diffs[z] = ~((anc[z] & av) | (desc[z] & dv) | (unrel[z] & uv))
-            m ^= lsb
+        av, dv = anc[v], desc[v]
         member = vbit
         outside = assigned
         su = rest ^ vbit
@@ -210,7 +214,11 @@ def _primitive_children_bits(br: _BitRelations, subset: int) -> list[int]:
             su ^= ubit
             if member & ubit:
                 continue
-            closure = _smallest_module_bits(subset, vbit, ubit, diffs, outside)
+            u = ubit.bit_length() - 1
+            if outside & ((anc[u] ^ av) | (desc[u] ^ dv)):
+                outside |= ubit  # the closure's first wave reaches outside
+                continue
+            closure = _smallest_module_bits(br, subset, vbit, ubit, outside)
             if closure != subset:  # proper: lies inside v's maximal module
                 member |= closure
             else:
@@ -225,14 +233,13 @@ def _primitive_children_bits(br: _BitRelations, subset: int) -> list[int]:
 
 
 def _smallest_module_bits(
-    subset: int, vbit: int, ubit: int, diffs: list[int], outside: int
+    br: _BitRelations, subset: int, vbit: int, ubit: int, outside: int
 ) -> int:
     """Smallest module (within ``subset``) containing ``vbit`` and ``ubit``.
 
     Wave-batched closure: whenever vertices join, every outside vertex whose
     relation to any of them differs from its (uniform) relation to the seed
-    becomes a splitter and joins in the next wave.  ``diffs`` holds the
-    precomputed per-vertex splitter masks (see
+    becomes a splitter and joins in the next wave (splitter masks as in
     :func:`_primitive_children_bits`).
 
     ``outside`` holds vertices known to lie outside the maximal strong
@@ -240,6 +247,10 @@ def _smallest_module_bits(
     vertex and ``vbit``, so by the module docstring's lemma it is the whole
     clan: it returns ``subset`` at once instead of growing to it.
     """
+    anc = br.anc
+    desc = br.desc
+    v = vbit.bit_length() - 1
+    av, dv = anc[v], desc[v]
     member = vbit | ubit
     new = ubit
     while new:
@@ -247,7 +258,8 @@ def _smallest_module_bits(
         m = new
         while m:
             lsb = m & -m
-            splitters |= diffs[lsb.bit_length() - 1]
+            z = lsb.bit_length() - 1
+            splitters |= (anc[z] ^ av) | (desc[z] ^ dv)
             m ^= lsb
         add = splitters & subset & ~member
         if add & outside:

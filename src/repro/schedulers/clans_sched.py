@@ -169,25 +169,29 @@ class ClansScheduler(Scheduler):
         for i, c in enumerate(node.children):
             for t in c.members:
                 child_of[t] = i
-        members = node.members
+        graph = ctx.graph
         costs = [ctx.cost[id(c)] for c in node.children]
         comm_in = [0.0] * n
         comm_out = [0.0] * n
         succ: list[dict[int, float]] = [{} for _ in range(n)]
         pred: list[dict[int, float]] = [{} for _ in range(n)]
         for i, c in enumerate(node.children):
+            c_in = c_out = 0.0
+            succ_i = succ[i]
             for t in c.members:
-                for p, w in ctx.graph.in_edges(t).items():
-                    if p not in members:
-                        comm_in[i] = max(comm_in[i], w)
-                for s, w in ctx.graph.out_edges(t).items():
-                    if s not in members:
-                        comm_out[i] = max(comm_out[i], w)
-                        continue
-                    j = child_of[s]
-                    if j != i and w > succ[i].get(j, -1.0):
-                        succ[i][j] = w
+                for p, w in graph.in_edges(t).items():
+                    if w > c_in and p not in child_of:
+                        c_in = w
+                for s, w in graph.out_edges(t).items():
+                    j = child_of.get(s, -1)
+                    if j < 0:
+                        if w > c_out:
+                            c_out = w
+                    elif j != i and w > succ_i.get(j, -1.0):
+                        succ_i[j] = w
                         pred[j][i] = w
+            comm_in[i] = c_in
+            comm_out[i] = c_out
         return _Quotient(costs, comm_in, comm_out, succ, pred)
 
     def _decide(self, node: ClanNode, ctx: _Context) -> GroupDecision:
@@ -244,7 +248,7 @@ class ClansScheduler(Scheduler):
         (per-processor child order) and the estimated completion cost
         including external communication of the non-local processors.
 
-        Two facts keep a step cheap without changing its choice:
+        Three facts keep a step cheap without changing its choice:
 
         * A ready child's predecessors are all placed, so its data-ready
           time on each processor is fixed when it becomes ready and is
@@ -255,9 +259,14 @@ class ClansScheduler(Scheduler):
           start and the lowest index wins the tie.  Hence the non-local
           processors in use are always ``1..top`` and the first empty one
           is ``top + 1``.
+        * A child cannot start on a processor before that processor is
+          free, so a processor free no earlier than the child's best start
+          so far is passed over without looking up its data-ready time.
+
+        The key is compared field by field, with no tuple built per child.
         """
         n = len(q.costs)
-        blevel = q.blevel
+        blevel, costs, comm_out, succ = q.blevel, q.costs, q.comm_out, q.succ
         proc_free = [0.0] * k
         proc_of = [-1] * n
         finish = [0.0] * n
@@ -271,34 +280,49 @@ class ClansScheduler(Scheduler):
             if waiting[i] == 0
         }
         top = 0
+        scan = min(2, k)
         worst = 0.0
         while ready:
-            best_key = None
-            scan = min(top + 2, k)
+            best = -1
             for i, (far, near) in ready.items():
                 # earliest start of child i; ties keep the lowest processor
-                first = None
-                for p in range(scan):
+                first = proc_free[0]
+                arrival = near[0]
+                if arrival > first:
+                    first = arrival
+                on = 0
+                for p in range(1, scan):
                     start = proc_free[p]
-                    arrival = near.get(p, far)
-                    if arrival > start:
-                        start = arrival
-                    if first is None or start < first:
-                        first, on = start, p
-                key = (first, -blevel[i], on, i)
-                if best_key is None or key < best_key:
-                    best_key = key
-            assert best_key is not None
-            start, _, p, i = best_key
+                    if start < first:  # else p cannot start i any earlier
+                        arrival = near.get(p, far)
+                        if arrival > start:
+                            start = arrival
+                        if start < first:
+                            first, on = start, p
+                # the smallest (start, -blevel, processor, child) wins
+                if best < 0 or first < best_start or (
+                    first == best_start
+                    and (
+                        blevel[i] > blevel[best]
+                        or blevel[i] == blevel[best]
+                        and (on < best_on or on == best_on and i < best)
+                    )
+                ):
+                    best, best_start, best_on = i, first, on
+            i, p = best, best_on
             proc_of[i] = p
-            finish[i] = start + q.costs[i]
-            proc_free[p] = finish[i]
+            finish[i] = proc_free[p] = best_start + costs[i]
             groups[p].append(i)
-            top = max(top, p)
-            done = finish[i] + (q.comm_out[i] if p != 0 else 0.0)
-            worst = max(worst, done)
+            done = finish[i]
+            if p:
+                done += comm_out[i]
+                if p > top:
+                    top = p
+                    scan = min(top + 2, k)
+            if done > worst:
+                worst = done
             del ready[i]
-            for j in q.succ[i]:
+            for j in succ[i]:
                 waiting[j] -= 1
                 if waiting[j] == 0:
                     ready[j] = _data_ready(q, j, finish, proc_of)
@@ -337,15 +361,20 @@ def _data_ready(
     a non-local processor that holds none of the predecessors, and a dict
     of the floors on processor 0 and on every processor that holds one.
     """
-    pred = q.pred[i]
-
-    def floor(p: int | None) -> float:  # None: a processor with no predecessor
-        start = q.comm_in[i] if p != 0 else 0.0
-        for j, w in pred.items():
+    pred = q.pred[i].items()
+    far = comm_in = q.comm_in[i]
+    near = {0: 0.0}  # base floors: 0 on the local processor, comm_in elsewhere
+    for j, w in pred:
+        arrival = finish[j] + w
+        if arrival > far:
+            far = arrival
+        if proc_of[j]:
+            near[proc_of[j]] = comm_in
+    for p in near:
+        start = near[p]
+        for j, w in pred:
             arrival = finish[j] + (w if proc_of[j] != p else 0.0)
             if arrival > start:
                 start = arrival
-        return start
-
-    near = {p: floor(p) for p in {0, *(proc_of[j] for j in pred)}}
-    return floor(None), near
+        near[p] = start
+    return far, near

@@ -93,6 +93,33 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+def hunt_graphs() -> list[tuple[str, TaskGraph]]:
+    """The advbench hunt's base graph and seeded neighborhoods around it.
+
+    Every one has 48 tasks and a primitive clan of 22-27 children: the
+    shape the adversarial hunt decomposes and schedules thousands of
+    times, and the one where primitive-clan closures and the quotient
+    mini-schedule do the most work.
+    """
+    import random
+
+    from repro.adversarial.env import PerturbationEnv
+    from repro.adversarial.store import build_base_graph
+    from repro.experiments.advbench import BASE_SPEC
+
+    base = build_base_graph(BASE_SPEC)
+    graphs = [("advbench-base", base)]
+    for seed in range(4):
+        env = PerturbationEnv(base.copy(), random.Random(seed))
+        for step in range(2):
+            cands = env.neighborhood(4)
+            graphs += [
+                (f"hunt-s{seed}-{step}-{i}", g) for i, (_, g) in enumerate(cands)
+            ]
+            env.apply(cands[-1][0])
+    return graphs
+
+
 # ----------------------------------------------------------------------
 # hypothesis strategies
 # ----------------------------------------------------------------------

@@ -12,7 +12,9 @@ from repro.clans import ClanKind, decompose
 from repro.experiments.advbench import BASE_SPEC
 from repro.schedulers.clans_sched import GroupDecision, _Context, _Quotient
 
-from conftest import task_graphs
+from conftest import hunt_graphs, task_graphs
+
+HUNT = hunt_graphs()
 
 
 class TestPaperWorkedExample:
@@ -218,19 +220,29 @@ _ANY = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def quotients(draw, max_children: int = 9) -> _Quotient:
-    """Quotient DAGs: antichains, chains and random DAGs; tied or spread
-    costs and messages, optionally all-zero costs or all-zero messages."""
-    n = draw(st.integers(1, max_children))
+def quotients(draw, max_children: int = 9, wide: int = 16) -> _Quotient:
+    """Quotient DAGs: antichains, chains, random DAGs and fan-ins (sources
+    feeding the other children); tied or spread costs and messages,
+    optionally all-zero costs or all-zero messages.
+
+    About half have more than ``max_children`` children (up to ``wide``),
+    so the k scan passes 5 processors, and in a fan-in a child's
+    predecessors sit on many processors."""
+    n = draw(st.integers(1, max_children) | st.integers(max_children + 1, wide))
     values = draw(st.sampled_from([_TIED, _ANY]))
     zero = st.just(0.0)
     cost = zero if draw(st.booleans()) and draw(st.booleans()) else values
     message = zero if draw(st.booleans()) and draw(st.booleans()) else values
-    shape = draw(st.sampled_from(["antichain", "chain", "dag"]))
+    shape = draw(st.sampled_from(["antichain", "chain", "dag", "fan-in"]))
     if shape == "antichain":
         edges = []
     elif shape == "chain":
         edges = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "fan-in":
+        r = draw(st.integers(1, max(1, n - 1)))
+        edges = [
+            (i, j) for j in range(r, n) for i in range(r) if draw(st.booleans())
+        ]
     else:
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
@@ -294,3 +306,17 @@ class TestMiniScheduleMatchesExhaustiveScan:
                 assert _same(got, _reference_mini_schedule(q, k)), k
             assert _same(ctx.decisions[id(node)], _reference_decide(q))
         assert widest >= 20
+
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("g", [g for _, g in HUNT], ids=[n for n, _ in HUNT])
+    def test_hunt_corpus_decisions(self, g, check):
+        """Every clan's decision on the hunt corpus
+        (``conftest.hunt_graphs``) equals the exhaustive scan's."""
+        sched = ClansScheduler(speedup_check=check)
+        tree = decompose(g)
+        ctx = _Context(g)
+        sched._annotate(tree, ctx)
+        for node in tree.walk():
+            if id(node) in ctx.decisions:
+                q = sched._quotient(node, ctx)
+                assert _same(ctx.decisions[id(node)], _reference_decide(q, check))

@@ -6,17 +6,19 @@ heterogeneous speeds.  These properties pin how they must relate:
 
 * a fully connected topology reproduces the uniform model exactly;
 * one-port timing dominates (is never faster than) free-overlap timing;
-* homogeneous unit speeds reproduce the uniform durations;
+* homogeneous unit speeds reproduce the uniform durations, and without
+  communication a uniformly faster machine scales HEFT's schedule exactly
+  (with communication it may even lengthen it);
 * bounding can only lengthen the best unbounded schedule.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import get_scheduler
+from repro import TaskGraph, get_scheduler
 from repro.core.simulator import simulate_clustering
 from repro.hetero import HEFTScheduler, HeterogeneousMachine, validate_on_machine
 from repro.schedulers import BoundedScheduler
@@ -78,6 +80,17 @@ class TestOnePortVsFree:
         assert port.transfers == ()
 
 
+def _faster_is_slower() -> TaskGraph:
+    """Nine unit tasks on which HEFT's makespan on three processors is 4.0
+    at speed 1 and 4.5 at speed 2 (a hypothesis find)."""
+    g = TaskGraph()
+    for t in range(9):
+        g.add_task(t, 1)
+    for u, v, c in [(0, 1, 0), (0, 4, 0), (1, 6, 0), (2, 5, 5), (4, 5, 3), (6, 8, 4)]:
+        g.add_edge(u, v, c)
+    return g
+
+
 class TestHeteroVsUniform:
     @given(g=task_graphs(min_tasks=1, max_tasks=10))
     @settings(max_examples=30, deadline=None)
@@ -91,20 +104,43 @@ class TestHeteroVsUniform:
         g=task_graphs(min_tasks=1, max_tasks=9),
         factor=st.sampled_from([2.0, 4.0]),
     )
+    @example(g=_faster_is_slower(), factor=2.0)
     @settings(max_examples=25, deadline=None)
     def test_uniformly_faster_machine_scales_makespan(self, g, factor):
+        slow_machine = HeterogeneousMachine.homogeneous(3)
+        fast_machine = HeterogeneousMachine.homogeneous(3, speed=factor)
+        slow = HEFTScheduler(slow_machine).schedule(g)
+        fast = HEFTScheduler(fast_machine).schedule(g)
+        validate_on_machine(slow, g, slow_machine)
+        validate_on_machine(fast, g, fast_machine)
+        # Computation shrinks by `factor` but messages do not, so with
+        # communication the upward ranks, hence HEFT's order, can change
+        # and the fast machine is not always faster (see below).  Without
+        # it every rank and time divides by the power of two `factor`
+        # exactly: the same schedule, scaled.
+        if all(g.edge_weight(u, v) == 0 for u, v in g.edges()):
+            assert fast.makespan == slow.makespan / factor
+            for t in g.tasks():
+                assert fast.processor_of(t) == slow.processor_of(t)
+                assert fast.start(t) == slow.start(t) / factor
+
+    def test_faster_machine_can_lengthen_heft_schedule(self):
+        """HEFT is not monotone in machine speed.  At speed s the upward
+        ranks of tasks 0 and 2 are 4 + 4/s and 5 + 2/s: 8 > 7 at s = 1, a
+        tie at s = 2 that topological position breaks for 2.  At s = 1, 0
+        goes first to processor 0 and 2 to processor 1; 4 (fed by 0 over a
+        free edge) joins 2 on processor 1, so 5 has both inputs local and
+        starts at 2.  At s = 2, 2 takes processor 0 and 0 processor 1, 4
+        follows 0, and 5 must wait for 4's message of 3: it starts at
+        1.0 + 3 = 4.0 and ends at 4.5, after the slow machine's 4.0."""
+        g = _faster_is_slower()
         slow = HEFTScheduler(HeterogeneousMachine.homogeneous(3)).schedule(g)
-        fast = HEFTScheduler(
-            HeterogeneousMachine.homogeneous(3, speed=factor)
-        ).schedule(g)
-        # computation shrinks by `factor` but messages do not, so the fast
-        # machine is at least (total/factor + nothing) and at most the slow
-        assert fast.makespan <= slow.makespan + 1e-9
-        comm_free = all(
-            g.edge_weight(u, v) == 0 for u, v in g.edges()
-        )
-        if comm_free:
-            assert fast.makespan == pytest.approx(slow.makespan / factor)
+        fast = HEFTScheduler(HeterogeneousMachine.homogeneous(3, speed=2)).schedule(g)
+        assert slow.makespan == 4.0
+        assert fast.makespan == 4.5
+        assert slow.processor_of(5) == slow.processor_of(2) == slow.processor_of(4)
+        assert fast.processor_of(5) == fast.processor_of(2) != fast.processor_of(4)
+        assert fast.start(5) == fast.finish(4) + g.edge_weight(4, 5)
 
 
 class TestBoundedVsUnbounded:

@@ -17,20 +17,16 @@ node, chain, fork-join, zero-cost edges).
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TaskGraph
-from repro.adversarial.env import PerturbationEnv
-from repro.adversarial.store import build_base_graph
 from repro.clans import ClanKind
-from repro.clans.decomposition import decompose, is_clan
+from repro.clans.decomposition import _BitRelations, decompose, is_clan
 from repro.clans.parse_tree import ClanNode
-from repro.clans.relations import UNRELATED, RelationMatrix
+from repro.clans.relations import ABOVE, UNRELATED, RelationMatrix
 from repro.core import simulator
 from repro.core.analysis import (
     alap_times,
@@ -44,12 +40,11 @@ from repro.core.analysis import (
 from repro.core.exceptions import DecompositionError, ScheduleError
 from repro.core.kernels import GraphIndex, b_levels_arr, graph_index, t_levels_arr
 from repro.core.simulator import simulate_clustering, simulate_ordered
-from repro.experiments.advbench import BASE_SPEC
 from repro.generation.random_dag import generate_pdg
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.schedulers import get_scheduler
 
-from conftest import task_graphs
+from conftest import hunt_graphs, task_graphs
 
 SEED = 19940815
 REWRITTEN = ["DSC", "MCP", "MH", "HU", "ETF", "HLFET", "CLANS"]
@@ -303,7 +298,8 @@ class TestSchedulerEquivalence:
 #
 # The reference is vectorized over the int8 relation matrix and grows every
 # smallest-module closure to its end, where the bitset implementation stops
-# a closure at a vertex known to lie outside the seed's module.  Both number
+# a closure at a vertex known to lie outside the seed's module, or does not
+# run it when its first wave already reaches one.  Both number
 # vertices topologically, discover components in ascending first-vertex
 # order and seed closures in (v, u) order, so the trees, children order
 # included, must coincide.
@@ -442,27 +438,7 @@ def _tree_shape(node):
     return (node.kind.name, [_tree_shape(c) for c in node.children])
 
 
-def _hunt_graphs() -> list[tuple[str, TaskGraph]]:
-    """The advbench hunt's base graph and seeded neighborhoods around it.
-
-    Every one has 48 tasks and a primitive clan of 22-27 children: the
-    shape the adversarial hunt decomposes thousands of times, and the one
-    where primitive-clan closures do the most work.
-    """
-    base = build_base_graph(BASE_SPEC)
-    graphs = [("advbench-base", base)]
-    for seed in range(4):
-        env = PerturbationEnv(base.copy(), random.Random(seed))
-        for step in range(2):
-            cands = env.neighborhood(4)
-            graphs += [
-                (f"hunt-s{seed}-{step}-{i}", g) for i, (_, g) in enumerate(cands)
-            ]
-            env.apply(cands[-1][0])
-    return graphs
-
-
-HUNT = _hunt_graphs()
+HUNT = hunt_graphs()
 
 
 def _both_backends(g):
@@ -501,6 +477,52 @@ class TestDecompositionEquivalence:
         for node in ker.walk():
             if not node.is_leaf:
                 assert is_clan(g, node.members)
+
+
+def _transposed(desc: list[int]) -> list[int]:
+    """The transpose of the bitset rows ``desc``, one bit per set bit."""
+    out = [0] * len(desc)
+    for i, m in enumerate(desc):
+        while m:
+            lsb = m & -m
+            out[lsb.bit_length() - 1] |= 1 << i
+            m ^= lsb
+    return out
+
+
+def _check_bit_relations(g: TaskGraph) -> None:
+    br = _BitRelations(g)
+    rm = RelationMatrix(g)
+    rel = rm.matrix
+    n = br.n
+    assert br.tasks == rm.tasks
+    assert br.desc == [
+        sum(1 << j for j in range(n) if rel[i, j] == ABOVE) for i in range(n)
+    ]
+    assert br.anc == _transposed(br.desc)
+    assert br.comp == [d | a for d, a in zip(br.desc, br.anc)]
+    assert br.unrel == [
+        br.full & ~c & ~(1 << i) for i, c in enumerate(br.comp)
+    ]
+
+
+class TestBitRelations:
+    """``anc`` is built from predecessors, so it is checked against
+    ``desc`` transposed; ``desc`` against the relation matrix; ``comp`` and
+    ``unrel`` against their definitions."""
+
+    @given(
+        g=st.sampled_from([0.2, 0.35, 0.6]).flatmap(
+            lambda bias: task_graphs(max_tasks=16, connected_bias=bias)
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_anc_is_desc_transposed(self, g):
+        _check_bit_relations(g)
+
+    @pytest.mark.parametrize("g", [g for _, g in HUNT], ids=[n for n, _ in HUNT])
+    def test_anc_is_desc_transposed_on_hunt_graphs(self, g):
+        _check_bit_relations(g)
 
 
 # ----------------------------------------------------------------------
