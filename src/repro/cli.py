@@ -48,6 +48,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import obs
+from .core.exceptions import ReproError
 from .core.metrics import anchor_out_degree, granularity, node_weight_range
 from .core.taskgraph import TaskGraph
 from .experiments.figures import ALL_FIGURES
@@ -110,8 +111,22 @@ def _profile_run(enabled: bool, anchor: str | None, default_name: str):
 
 
 def _load_graph(path: str) -> TaskGraph:
-    with open(path) as fh:
-        return TaskGraph.from_dict(json.load(fh))
+    """The graph in the JSON file at ``path``.
+
+    An unreadable file, invalid JSON or a malformed graph prints one line,
+    ``repro: cannot read graph PATH: REASON``, and exits 2.
+    """
+    try:
+        with open(path) as fh:
+            return TaskGraph.from_dict(json.load(fh))
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except KeyError as exc:
+        reason = f"missing key {exc}"
+    except (ValueError, TypeError, ReproError) as exc:
+        reason = str(exc)
+    print(f"repro: cannot read graph {path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _save_graph(graph: TaskGraph, path: str) -> None:

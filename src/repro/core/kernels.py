@@ -11,6 +11,11 @@ lists of floats and ints — cache-friendly integer arithmetic instead of
 hash-table churn — and translate back to ``Task``-keyed structures only at
 the boundary.
 
+The processor pool (:class:`IndexedPool`) chooses a processor in one
+pass over the processors after one pass over the task's in-edges
+(:func:`arrival_bounds`), with the full scan's comparison sequence and
+1e-12 tie rule.
+
 Floating-point order is part of the output: associativity is never assumed
 (``tl[p] + w[p] + c`` is never folded into ``tl[p] + (w[p] + c)``), and
 ``tests/test_golden.py`` pins the levels, clan trees and every scheduler's
@@ -49,6 +54,7 @@ __all__ = [
     "priority_topo_order_idx",
     "simulate_ordered_idx",
     "descendant_masks",
+    "arrival_bounds",
     "IndexedPool",
 ]
 
@@ -413,6 +419,44 @@ def simulate_ordered_idx(
 # ----------------------------------------------------------------------
 
 
+def arrival_bounds(
+    preds: list[tuple[int, float]], finish: list[float], proc_of: list[int]
+) -> tuple[dict[int, float], int, float, float]:
+    """Placed predecessors' arrival facts, grouped by processor, in O(indeg).
+
+    ``preds`` is a task's ``pred_rows`` entry; every predecessor must be
+    placed.  Returns ``(local, top_proc, top, second)`` where ``local[q]``
+    is the max finish time of the predecessors placed on ``q``, and
+    ``top``/``second`` are the largest and second-largest of the
+    per-processor maxima of ``finish + c`` (``top`` achieved on
+    ``top_proc``; maxima taken across *distinct* processors).  The ready
+    time on any candidate ``p`` is then O(1):
+    ``max(local.get(p, 0), top if p != top_proc else second)`` —
+    predecessors co-located with ``p`` pay no communication, all others
+    pay theirs in full.  That is a max over the same terms as a walk of the
+    in-edges, so the value is bit-identical.
+    """
+    local: dict[int, float] = {}
+    comm: dict[int, float] = {}
+    for j, c in preds:
+        f = finish[j]
+        q = proc_of[j]
+        if f > local.get(q, -1.0):
+            local[q] = f
+        a = f + c
+        if a > comm.get(q, -1.0):
+            comm[q] = a
+    top_proc, top, second = -1, 0.0, 0.0
+    for q, a in comm.items():
+        if a > top:
+            if top_proc != -1:
+                second = top
+            top_proc, top = q, a
+        elif a > second:
+            second = a
+    return local, top_proc, top, second
+
+
 class IndexedPool:
     """Processor-pool bookkeeping shared by the list schedulers, on task ids.
 
@@ -496,41 +540,6 @@ class IndexedPool:
         """Earliest start of task ``i`` appended after everything on ``proc``."""
         return max(self.avail(proc), self.ready_time(i, proc))
 
-    def _arrival_bounds(self, i: int) -> tuple[dict[int, float], int, float, float]:
-        """Predecessor arrival facts, grouped by processor, in O(indeg).
-
-        Returns ``(local, top_proc, top, second)`` where ``local[q]`` is the
-        max finish time of task ``i``'s predecessors placed on ``q``, and
-        ``top``/``second`` are the largest and second-largest of the
-        per-processor maxima of ``finish + c`` (``top`` achieved on
-        ``top_proc``; maxima taken across *distinct* processors).  The ready
-        time on any candidate ``p`` is then O(1):
-        ``max(local.get(p, 0), top if p != top_proc else second)`` —
-        predecessors co-located with ``p`` pay no communication, all others
-        pay theirs in full.
-        """
-        local: dict[int, float] = {}
-        comm: dict[int, float] = {}
-        finish = self.finish
-        proc_of = self.proc_of
-        for j, c in self.gi.pred_rows[i]:
-            f = finish[j]
-            q = proc_of[j]
-            if f > local.get(q, -1.0):
-                local[q] = f
-            a = f + c
-            if a > comm.get(q, -1.0):
-                comm[q] = a
-        top_proc, top, second = -1, 0.0, 0.0
-        for q, a in comm.items():
-            if a > top:
-                if top_proc != -1:
-                    second = top
-                top_proc, top = q, a
-            elif a > second:
-                second = a
-        return local, top_proc, top, second
-
     def _insertion_start(self, proc: int, ready: float, duration: float) -> float:
         """First gap on ``proc`` fitting ``duration`` at/after ``ready``."""
         if proc >= len(self._intervals):
@@ -578,33 +587,42 @@ class IndexedPool:
         and avoids gratuitous spreading.
 
         The scan is O(P + indeg): predecessor message arrivals are grouped
-        once (:meth:`_arrival_bounds`), then each candidate's ready time is
+        once (:func:`arrival_bounds`), then each candidate's ready time is
         O(1) instead of an O(indeg) re-walk of the in-edges.  (Idle-slot
         insertion additionally scans the candidate's placed intervals.)
+        Candidates are visited in index order: the fresh processor (or
+        processor 0 of a full bounded pool) is the first incumbent, and a
+        later processor replaces it when it starts more than 1e-12 earlier
+        or, while the incumbent is the fresh one, within 1e-12 of it.  The
+        1e-12 tie rule is not transitive, so these are a full scan's
+        comparisons in a full scan's order.
         """
-        local, top_proc, top, second = self._arrival_bounds(i)
-        n = len(self._intervals)
-        duration = self.gi.weights[i] if insertion else 0.0
-
-        def start_on(proc: int) -> float:
+        local, top_proc, top, second = arrival_bounds(
+            self.gi.pred_rows[i], self.finish, self.proc_of
+        )
+        intervals = self._intervals
+        n = len(intervals)
+        duration = self.gi.weights[i]
+        if self.can_grow:
+            # a fresh processor holds no predecessor: every message pays
+            best_proc, best_start = n, top
+        else:
+            best_proc, best_start = -1, 0.0
+        for proc in range(n):
             ready = local.get(proc, 0.0)
             cross = second if proc == top_proc else top
             if cross > ready:
                 ready = cross
             if insertion:
-                return self._insertion_start(proc, ready, duration)
-            return max(self.avail(proc), ready)
-
-        if self.can_grow:
-            best_proc = n  # the fresh-processor candidate
-            best_start = start_on(best_proc)
-        else:
-            best_proc = 0
-            best_start = start_on(0)
-        for proc in range(n):
-            start = start_on(proc)
-            if start < best_start - 1e-12 or (
-                abs(start - best_start) <= 1e-12 and proc < best_proc
+                start = self._insertion_start(proc, ready, duration)
+            else:
+                start = intervals[proc][-1][1]
+                if ready > start:
+                    start = ready
+            if (
+                best_proc < 0
+                or start < best_start - 1e-12
+                or (best_proc == n and abs(start - best_start) <= 1e-12)
             ):
                 best_proc, best_start = proc, start
         return best_proc, best_start
@@ -616,16 +634,21 @@ class IndexedPool:
         availability, not by where the task's data lives.  Ties prefer the
         lowest existing index; a fresh processor (avail 0) is used only when
         no existing processor is idle at time 0.
+
+        While the pool may grow, the fresh processor's availability 0 is the
+        incumbent and no availability is negative, so the answer is the
+        lowest existing processor free by 1e-12, else the fresh one.
         """
+        intervals = self._intervals
         if self.can_grow:
-            best_proc = len(self._intervals)
-            best_avail = 0.0
-        else:
-            best_proc, best_avail = 0, self.avail(0)
-        for proc in range(len(self._intervals)):
-            avail = self.avail(proc)
-            if avail < best_avail - 1e-12 or (
-                abs(avail - best_avail) <= 1e-12 and proc < best_proc
-            ):
+            for proc, placed in enumerate(intervals):
+                avail = placed[-1][1]
+                if avail <= 1e-12:
+                    return proc, avail
+            return len(intervals), 0.0
+        best_proc, best_avail = 0, intervals[0][-1][1]
+        for proc, placed in enumerate(intervals):
+            avail = placed[-1][1]
+            if avail < best_avail - 1e-12:
                 best_proc, best_avail = proc, avail
         return best_proc, best_avail

@@ -46,6 +46,10 @@ class ScheduledTask:
             raise ScheduleError(f"finish before start for {self.task!r}")
 
 
+def _start_finish(p: ScheduledTask) -> tuple[float, float]:
+    return (p.start, p.finish)
+
+
 class Schedule:
     """An immutable-by-convention mapping of tasks to placements."""
 
@@ -109,7 +113,7 @@ class Schedule:
         """Placements on one processor, ordered by start time."""
         return sorted(
             (p for p in self._by_task.values() if p.processor == processor),
-            key=lambda p: (p.start, p.finish),
+            key=_start_finish,
         )
 
     def clusters(self) -> list[list[Task]]:
@@ -151,8 +155,14 @@ class Schedule:
         Raises :class:`ScheduleError` on: missing/extra tasks, wrong
         durations, overlapping tasks on a processor, or a task starting
         before one of its inputs has arrived.
+
+        One pass over the placements groups them by processor, in placement
+        order, so each processor's row is the same stable sort
+        :meth:`tasks_on` gives: O(n log n + e) in all, and the first error
+        reported is the one a processor-by-processor scan meets first.
         """
-        placed = set(self._by_task)
+        by_task = self._by_task
+        placed = set(by_task)
         tasks = set(graph.tasks())
         if placed != tasks:
             missing = tasks - placed
@@ -161,21 +171,28 @@ class Schedule:
                 f"task set mismatch: missing={sorted(map(repr, missing))}, "
                 f"extra={sorted(map(repr, extra))}"
             )
-        for p in self._by_task.values():
-            expect = graph.weight(p.task)
+        weight = graph.weight
+        on_proc: dict[int, list[ScheduledTask]] = {}
+        for p in by_task.values():
+            expect = weight(p.task)
             if abs((p.finish - p.start) - expect) > _EPS:
                 raise ScheduleError(
                     f"task {p.task!r} runs {p.finish - p.start}, weight is {expect}"
                 )
-        for proc in self.processors:
-            row = self.tasks_on(proc)
+            row = on_proc.get(p.processor)
+            if row is None:
+                on_proc[p.processor] = [p]
+            else:
+                row.append(p)
+        for proc in sorted(on_proc):
+            row = sorted(on_proc[proc], key=_start_finish)
             for a, b in zip(row, row[1:]):
                 if b.start < a.finish - _EPS:
                     raise ScheduleError(
                         f"tasks {a.task!r} and {b.task!r} overlap on processor {proc}"
                     )
         for u, v in graph.edges():
-            pu, pv = self._by_task[u], self._by_task[v]
+            pu, pv = by_task[u], by_task[v]
             arrival = pu.finish
             if pu.processor != pv.processor:
                 arrival += graph.edge_weight(u, v)

@@ -35,6 +35,7 @@ See DESIGN.md section 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from ..clans.decomposition import decompose
 from ..clans.parse_tree import ClanKind, ClanNode
@@ -264,7 +265,14 @@ class ClansScheduler(Scheduler):
           so far is passed over without looking up its data-ready time.
 
         The key is compared field by field, with no tuple built per child.
+
+        On one processor every ready child's predecessors finished on it,
+        so every ready child starts when it frees and the key collapses to
+        ``(-blevel, child)``: :func:`_serial_decision` takes the children
+        from a heap instead.
         """
+        if k == 1:
+            return _serial_decision(q)
         n = len(q.costs)
         blevel, costs, comm_out, succ = q.blevel, q.costs, q.comm_out, q.succ
         proc_free = [0.0] * k
@@ -348,6 +356,30 @@ class ClansScheduler(Scheduler):
                 target = len(ctx.clusters) - 1
             for i in group:
                 self._assign(node.children[i], ctx, target)
+
+
+def _serial_decision(q: _Quotient) -> GroupDecision:
+    """The quotient list-scheduled on the local processor alone.
+
+    Ready children run in ``(-blevel, child)`` order, each starting when
+    the previous one finishes.  Costs are non-negative, so the running
+    finish is the latest finish: the decision's cost.
+    """
+    blevel, costs, succ = q.blevel, q.costs, q.succ
+    waiting = [len(p) for p in q.pred]
+    ready = [(-blevel[i], i) for i, w in enumerate(waiting) if not w]
+    heapify(ready)
+    order: list[int] = []
+    now = 0.0
+    while ready:
+        i = heappop(ready)[1]
+        order.append(i)
+        now += costs[i]
+        for j in succ[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                heappush(ready, (-blevel[j], j))
+    return GroupDecision([order] if order else [], now)
 
 
 def _data_ready(

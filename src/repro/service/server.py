@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import marshal
 import os
 import signal
 import socket as socket_module
@@ -640,7 +641,11 @@ class ReproServer:
                 try:
                     with registry.timer(f"service.op.{request.op}"):
                         result = await loop.run_in_executor(
-                            self._executor, self._run_queued_op_in_ctx, ctx, request
+                            self._executor,
+                            self._run_queued_op_in_ctx,
+                            ctx,
+                            request,
+                            item.digest,
                         )
                 except ProtocolError as exc:
                     code, message = exc.code, str(exc)
@@ -681,23 +686,25 @@ class ReproServer:
     # op handlers (worker threads; plain library calls)
     # ------------------------------------------------------------------
     def _run_queued_op_in_ctx(
-        self, ctx: "TraceContext | None", request: Request
+        self, ctx: "TraceContext | None", request: Request, digest: str | None
     ) -> Any:
         """Executor-thread entry: ``run_in_executor`` does not propagate
         contextvars, so the trace context is re-activated here — that is
         what tags kernel-compile and scheduler spans with the trace id."""
         if ctx is None:
-            return self._run_queued_op(request)
+            return self._run_queued_op(request, digest)
         token = activate(ctx)
         try:
-            return self._run_queued_op(request)
+            return self._run_queued_op(request, digest)
         finally:
             deactivate(token)
 
-    def _run_queued_op(self, request: Request) -> Any:
+    def _run_queued_op(self, request: Request, digest: str | None) -> Any:
+        """Run one queued op.  ``digest`` is the graph's digest when the
+        caller already has it (admission computes it); None hashes here."""
         if request.op == "batch":
             return self._op_batch(request.params)
-        graph = self._resolve_graph(request.params, None)
+        graph = self._resolve_graph(request.params, digest)
         if request.op == "schedule":
             return self._op_schedule(graph, request.params)
         if request.op == "classify":
@@ -767,6 +774,12 @@ class ReproServer:
         if not isinstance(subs, list):
             raise ProtocolError("params.requests must be a list")
         responses = []
+        # (marshal bytes, digest) of the last graph hashed: a sub-request
+        # repeating its predecessor's graph reuses the digest.  marshal
+        # format 2 writes types, values and key order with no
+        # back-references, so equal bytes mean an equal wire encoding
+        # (where ``==`` would equate 1, 1.0 and True).
+        last: tuple[bytes, str] | None = None
         for i, sub in enumerate(subs):
             if not isinstance(sub, dict):
                 responses.append(
@@ -789,8 +802,17 @@ class ReproServer:
                 )
                 continue
             try:
+                digest = None
+                wire_graph = sub_params.get("graph")
+                if isinstance(wire_graph, dict):
+                    raw = marshal.dumps(wire_graph, 2)
+                    if last is not None and last[0] == raw:
+                        digest = last[1]
+                    else:
+                        digest = wire.graph_digest(wire_graph)
+                        last = (raw, digest)
                 result = self._run_queued_op(
-                    Request(id=sub_id, op=op, params=sub_params)
+                    Request(id=sub_id, op=op, params=sub_params), digest
                 )
                 responses.append(ok_response(sub_id, result))
             except ProtocolError as exc:

@@ -154,6 +154,37 @@ def task_graphs(
 
 
 @st.composite
+def tie_graphs(draw, max_tasks: int = 14):
+    """DAGs built for ties: unit or few distinct weights, zero-cost or
+    equal edges, and layered shapes where every task of a layer has the
+    same level, so priorities, startbounds and start times tie often.  A
+    weight of 1e-12 puts finish times on the schedulers' 1e-12 tie
+    tolerance."""
+    n = draw(st.integers(1, max_tasks))
+    weight = draw(
+        st.sampled_from([st.just(1.0), st.sampled_from([0.0, 1e-12, 1.0, 2.0])])
+    )
+    cost = draw(
+        st.sampled_from([st.just(0.0), st.just(1.0), st.sampled_from([0.0, 1.0, 3.0])])
+    )
+    g = TaskGraph()
+    for i in range(n):
+        g.add_task(i, draw(weight))
+    if draw(st.booleans()):
+        # layers of equal width, each task feeding every task of the next
+        width = draw(st.integers(1, 4))
+        for i in range(n):
+            for j in range((i // width + 1) * width, min(n, (i // width + 2) * width)):
+                g.add_edge(i, j, draw(cost))
+    else:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if draw(st.integers(0, 3)) == 0:
+                    g.add_edge(i, j, draw(cost))
+    return g
+
+
+@st.composite
 def weighted_dags_with_edges(draw, min_tasks: int = 3, max_tasks: int = 14):
     """DAGs guaranteed to contain at least one edge (granularity defined)."""
     g = draw(task_graphs(min_tasks=min_tasks, max_tasks=max_tasks))

@@ -10,7 +10,12 @@ from repro import ClansScheduler, TaskGraph
 from repro.adversarial.store import build_base_graph
 from repro.clans import ClanKind, decompose
 from repro.experiments.advbench import BASE_SPEC
-from repro.schedulers.clans_sched import GroupDecision, _Context, _Quotient
+from repro.schedulers.clans_sched import (
+    GroupDecision,
+    _Context,
+    _Quotient,
+    _serial_decision,
+)
 
 from conftest import hunt_graphs, task_graphs
 
@@ -280,6 +285,13 @@ class TestMiniScheduleMatchesExhaustiveScan:
         for k in range(1, len(q.costs) + 1):
             got = ClansScheduler._mini_schedule(q, k)
             assert _same(got, _reference_mini_schedule(q, k)), k
+
+    @given(q=quotients())
+    @settings(max_examples=500, deadline=None)
+    def test_serial_shortcut(self, q):
+        """k = 1 by the (-blevel, child) heap equals the exhaustive scan on
+        one processor: same order, same float cost."""
+        assert _same(_serial_decision(q), _reference_mini_schedule(q, 1))
 
     @given(q=quotients(), check=st.booleans())
     @settings(max_examples=200, deadline=None)

@@ -335,3 +335,46 @@ class TestServeSubmit:
         sock = str(tmp_path / "nothing.sock")
         assert main(["submit", graph_file, "--socket", sock]) == 1
         assert "service error" in capsys.readouterr().err
+
+
+#: Unreadable graph files, each with the reason the CLI must print.
+BAD_GRAPHS = {
+    "missing": (None, "No such file or directory"),
+    "invalid-json": ('{"tasks": [[1, 1.0]', "Expecting ',' delimiter"),
+    "unknown-task": (
+        '{"tasks": [[1, 1.0]], "edges": [[1, 2, 1]]}',
+        "unknown task 2",
+    ),
+}
+
+
+class TestUnreadableGraph:
+    """Every graph-reading subcommand prints one line and exits 2."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_GRAPHS))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule"],
+            ["classify"],
+            ["export", "-o", "unused.svg"],
+            ["submit", "--socket", "unused.sock"],
+        ],
+        ids=["schedule", "classify", "export", "submit"],
+    )
+    def test_one_line_and_exit_2(self, argv, case, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        text, reason = BAD_GRAPHS[case]
+        path = tmp_path / "g.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(path), *argv[1:]])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro: cannot read graph {path}: ")
+        assert reason in lines[0]
+        assert not (tmp_path / "unused.svg").exists()

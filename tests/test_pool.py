@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import importlib
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import TaskGraph
 from repro.core.kernels import IndexedPool, graph_index
+from repro.obs.metrics import get_registry
+
+from conftest import hunt_graphs, tie_graphs
+
+HUNT = hunt_graphs()
 
 
 @pytest.fixture
@@ -158,7 +168,8 @@ class TestEarliestAvailable:
 
 
 def _brute_force_best(pool, i, *, insertion):
-    """The pre-optimization O(P*indeg) reference rule for best_processor."""
+    """The full O(P*indeg) reference scan for best_processor: every
+    candidate's start from :meth:`est_append`/:meth:`est_insertion`."""
     est = pool.est_insertion if insertion else pool.est_append
     if pool.can_grow:
         best_proc = pool.n_processors
@@ -229,3 +240,116 @@ class TestBestProcessorAgainstReference:
             fast = pool.best_processor(ids[task])
             assert fast == _brute_force_best(pool, ids[task], insertion=False)
             pool.place(ids[task], *fast)
+
+
+def _reference_earliest_available(pool):
+    """The full scan for earliest_available_processor: the fresh processor
+    (or processor 0 of a full bounded pool) is the incumbent, then every
+    processor is compared under the 1e-12 tie rule."""
+    if pool.can_grow:
+        best_proc, best_avail = pool.n_processors, 0.0
+    else:
+        best_proc, best_avail = 0, pool.avail(0)
+    for proc in range(pool.n_processors):
+        avail = pool.avail(proc)
+        if avail < best_avail - 1e-12 or (
+            abs(avail - best_avail) <= 1e-12 and proc < best_proc
+        ):
+            best_proc, best_avail = proc, avail
+    return best_proc, best_avail
+
+
+class _ReferencePool(IndexedPool):
+    """The pool with both processor choices made by the full scans."""
+
+    __slots__ = ()
+
+    def best_processor(self, i, *, insertion=False):
+        return _brute_force_best(self, i, insertion=insertion)
+
+    def earliest_available_processor(self):
+        return _reference_earliest_available(self)
+
+
+#: (module, class, constructor kwargs) of every scheduler on the pool.
+_LIST_SCHEDULERS = [
+    ("mcp", "MCPScheduler", {}),
+    ("mcp", "MCPScheduler", {"insertion": False}),
+    ("mh", "MHScheduler", {}),
+    ("hu", "HuScheduler", {}),
+    ("hlfet", "HLFETScheduler", {}),
+    ("etf", "ETFScheduler", {}),
+    ("dls", "DLSScheduler", {}),
+]
+_COUNTERS = ("mcp.insertion_attempts", "mcp.slot_insertions")
+
+
+def _list_run(graph, module, cls, kwargs, max_processors, pool_class):
+    mod = importlib.import_module(f"repro.schedulers.{module}")
+    registry = get_registry()
+    before = {k: registry.counter(k) for k in _COUNTERS}
+    with mock.patch.object(mod, "IndexedPool", pool_class):
+        schedule = getattr(mod, cls)(max_processors=max_processors, **kwargs).schedule(graph)
+    counts = {k: registry.counter(k) - before[k] for k in _COUNTERS}
+    rows = [list(p) for p in schedule.to_dict()["placements"]]
+    return rows, [(r[2].hex(), r[3].hex()) for r in rows], counts
+
+
+def _assert_list_schedulers_match(graph, max_processors):
+    for module, cls, kwargs in _LIST_SCHEDULERS:
+        got = _list_run(graph, module, cls, kwargs, max_processors, IndexedPool)
+        ref = _list_run(graph, module, cls, kwargs, max_processors, _ReferencePool)
+        assert got == ref, (cls, kwargs, max_processors)
+
+
+class TestListSchedulersMatchFullScans:
+    """MCP, MH, HU, HLFET, ETF and DLS give the same schedules and
+    ``mcp.*`` counts with the pool's processor choice as with the full
+    per-processor scans."""
+
+    @given(g=tie_graphs(), max_processors=st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_tie_graphs(self, g, max_processors):
+        _assert_list_schedulers_match(g, max_processors)
+
+    @pytest.mark.parametrize("max_processors", [None, 2])
+    @pytest.mark.parametrize("g", [g for _, g in HUNT], ids=[n for n, _ in HUNT])
+    def test_hunt_corpus(self, g, max_processors):
+        _assert_list_schedulers_match(g, max_processors)
+
+
+class TestEarliestAvailableAgainstReference:
+    @pytest.mark.parametrize("w", [0.0, 5e-13, 1e-12, 1.5e-12, 1.0])
+    @pytest.mark.parametrize("max_processors", [None, 2])
+    def test_processor_free_within_tolerance(self, w, max_processors):
+        """A processor free by 1e-12 ties with the fresh one at 0 and wins
+        as the lower index; one free later loses to it."""
+        g = TaskGraph()
+        g.add_task("x", w)
+        g.add_task("y", 1.0)
+        pool, ids = make_pool(g, max_processors=max_processors)
+        pool.place(ids["x"], 0, 0.0)
+        got = pool.earliest_available_processor()
+        assert got == _reference_earliest_available(pool)
+        assert got == ((0, w) if w <= 1e-12 else (1, 0.0))
+
+    @given(
+        g=tie_graphs(),
+        max_processors=st.sampled_from([None, 1, 2, 3]),
+        picks=st.lists(st.integers(0, 8), max_size=14),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_call(self, g, max_processors, picks):
+        """Each call equals the full scan, on pools whose processors free at
+        0 (zero-weight tasks) as well as later."""
+        pool, _ = make_pool(g, max_processors=max_processors)
+        picks = iter(picks)
+        for i in pool.gi.topo_list:
+            got = pool.earliest_available_processor()
+            assert got == _reference_earliest_available(pool)
+            # place on the chosen processor or, sometimes, another one
+            proc = got[0]
+            pick = next(picks, None)
+            if pick is not None and pool.n_processors:
+                proc = min(pick, pool.n_processors - (0 if pool.can_grow else 1))
+            pool.place(i, proc, pool.est_append(i, proc))

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import Schedule, ScheduledTask, ScheduleError, TaskGraph
+from repro import Schedule, ScheduledTask, ScheduleError, TaskGraph, get_scheduler
+from repro.experiments.faults import FaultInjectingScheduler, graph_key
+
+from conftest import task_graphs, tie_graphs
 
 
 @pytest.fixture
@@ -135,6 +140,158 @@ class TestValidation:
 
     def test_is_valid_false(self, ab_graph):
         assert not Schedule().is_valid(ab_graph)
+
+
+def _reference_validate(schedule: Schedule, graph: TaskGraph) -> None:
+    """The P x n validator: one full pass over the placements per
+    processor (:meth:`Schedule.tasks_on`)."""
+    placed = {p.task for p in schedule}
+    tasks = set(graph.tasks())
+    if placed != tasks:
+        missing = tasks - placed
+        extra = placed - tasks
+        raise ScheduleError(
+            f"task set mismatch: missing={sorted(map(repr, missing))}, "
+            f"extra={sorted(map(repr, extra))}"
+        )
+    for p in schedule:
+        expect = graph.weight(p.task)
+        if abs((p.finish - p.start) - expect) > 1e-9:
+            raise ScheduleError(
+                f"task {p.task!r} runs {p.finish - p.start}, weight is {expect}"
+            )
+    for proc in schedule.processors:
+        row = schedule.tasks_on(proc)
+        for a, b in zip(row, row[1:]):
+            if b.start < a.finish - 1e-9:
+                raise ScheduleError(
+                    f"tasks {a.task!r} and {b.task!r} overlap on processor {proc}"
+                )
+    for u, v in graph.edges():
+        pu, pv = schedule[u], schedule[v]
+        arrival = pu.finish
+        if pu.processor != pv.processor:
+            arrival += graph.edge_weight(u, v)
+        if pv.start < arrival - 1e-9:
+            raise ScheduleError(
+                f"task {v!r} starts at {pv.start} before its input from "
+                f"{u!r} arrives at {arrival}"
+            )
+
+
+def _verdict(check, schedule: Schedule, graph: TaskGraph) -> str | None:
+    try:
+        check(schedule, graph)
+    except ScheduleError as exc:
+        return str(exc)
+    return None
+
+
+def _same_verdict(schedule: Schedule, graph: TaskGraph) -> str | None:
+    got = _verdict(Schedule.validate, schedule, graph)
+    assert got == _verdict(_reference_validate, schedule, graph)
+    return got
+
+
+def _rebuilt(rows) -> Schedule:
+    s = Schedule()
+    for task, proc, start, finish in rows:
+        s.place(task, proc, start, finish - start)
+    return s
+
+
+class TestValidatorMatchesPerProcessorScan:
+    """The one-pass validator raises what the P x n scan raises, with the
+    same message, checks in the same order."""
+
+    @pytest.fixture
+    def graph(self):
+        g = TaskGraph()
+        for t, w in [("a", 10), ("b", 20), ("c", 5), ("d", 5)]:
+            g.add_task(t, w)
+        g.add_edge("a", "b", 5)
+        g.add_edge("a", "c", 2)
+        g.add_edge("c", "d", 1)
+        return g
+
+    def _valid_rows(self, graph):
+        rows = [
+            [p.task, p.processor, p.start, p.finish]
+            for p in get_scheduler("MCP").schedule(graph)
+        ]
+        assert _same_verdict(_rebuilt(rows), graph) is None
+        return rows
+
+    def test_missing_task(self, graph):
+        rows = self._valid_rows(graph)[:-1]
+        assert "missing=" in _same_verdict(_rebuilt(rows), graph)
+
+    def test_extra_task(self, graph):
+        rows = self._valid_rows(graph) + [["ghost", 0, 100.0, 101.0]]
+        assert "missing=[], extra=" in _same_verdict(_rebuilt(rows), graph)
+
+    def test_wrong_duration(self, graph):
+        rows = self._valid_rows(graph)
+        rows[1][3] += 1.0
+        assert "weight is" in _same_verdict(_rebuilt(rows), graph)
+
+    def test_overlap(self, graph):
+        rows = [["a", 0, 0.0, 10.0], ["b", 1, 15.0, 35.0],
+                ["c", 0, 10.0, 15.0], ["d", 0, 12.0, 17.0]]
+        assert "overlap on processor 0" in _same_verdict(_rebuilt(rows), graph)
+
+    def test_first_overlap_by_processor_then_start(self, graph):
+        """Overlaps on two processors: both report processor 0's first
+        pair, though processor 1's tasks were placed first."""
+        rows = [["b", 1, 15.0, 35.0], ["d", 1, 16.0, 21.0],
+                ["a", 0, 0.0, 10.0], ["c", 0, 5.0, 10.0]]
+        msg = _same_verdict(_rebuilt(rows), graph)
+        assert msg == "tasks 'a' and 'c' overlap on processor 0"
+
+    def test_early_start(self, graph):
+        rows = [["a", 0, 0.0, 10.0], ["b", 1, 12.0, 32.0],
+                ["c", 0, 10.0, 15.0], ["d", 0, 15.0, 20.0]]
+        assert "before its input" in _same_verdict(_rebuilt(rows), graph)
+
+    def test_fault_injected_wrong_schedule(self, paper_example):
+        bad = FaultInjectingScheduler(
+            "MCP", fail=[graph_key(paper_example)], mode="wrong"
+        ).schedule(paper_example)
+        assert "weight is" in _same_verdict(bad, paper_example)
+
+    @given(
+        g=st.one_of(task_graphs(max_tasks=10), tie_graphs(max_tasks=10)),
+        name=st.sampled_from(["MCP", "HU", "DSC", "ETF"]),
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 9),
+                st.sampled_from(["proc", "shift", "stretch", "drop"]),
+                st.sampled_from([0, 1, 2]),
+                st.sampled_from([-5.0, -1.0, 0.5, 3.0]),
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_corrupted_schedules(self, g, name, edits):
+        rows = [
+            [p.task, p.processor, p.start, p.finish]
+            for p in get_scheduler(name).schedule(g)
+        ]
+        for k, kind, proc, delta in edits:
+            if not rows:
+                break
+            row = rows[k % len(rows)]
+            if kind == "proc":
+                row[1] = proc
+            elif kind == "shift":
+                row[2] = max(0.0, row[2] + delta)
+                row[3] = row[2] + g.weight(row[0])
+            elif kind == "stretch":
+                row[3] = max(row[2], row[3] + delta)
+            else:
+                rows.remove(row)
+        _same_verdict(_rebuilt(rows), g)
 
 
 class TestMeasures:

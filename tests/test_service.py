@@ -336,6 +336,68 @@ class TestBatchingByDigest:
                 assert wire.dumps(got) == wire.dumps(expect)
 
 
+class TestDigestOnce:
+    """The daemon hashes a request's graph once: admission's digest goes
+    with the queued request, and a batch hashes a repeated graph once."""
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        calls = []
+        real = wire.graph_digest
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(wire, "graph_digest", counting)
+        return calls
+
+    def test_schedule_hashes_its_graph_once(self, server, digests, paper_example):
+        with ServiceClient(server.address) as c:
+            got = c.schedule(paper_example, "MCP")
+        expect = schedule_result(
+            "MCP", paper_example, get_scheduler("MCP").schedule(paper_example)
+        )
+        assert wire.dumps(got) == wire.dumps(expect)
+        assert len(digests) == 1
+
+    def test_batch_hashes_a_repeated_graph_once(self, server, digests, paper_example):
+        with ServiceClient(server.address) as c:
+            responses = c.batch(
+                [
+                    {"op": "classify", "params": {"graph": paper_example}},
+                    {"op": "schedule", "params": {"graph": paper_example, "heuristic": "HU"}},
+                    {"op": "schedule", "params": {"graph": paper_example, "heuristic": "DSC"}},
+                ]
+            )
+        assert all(r["ok"] for r in responses)
+        assert len(digests) == 1
+        for r, name in zip(responses[1:], ("HU", "DSC")):
+            expect = schedule_result(
+                name, paper_example, get_scheduler(name).schedule(paper_example)
+            )
+            assert wire.dumps(r["result"]) == wire.dumps(expect)
+
+    def test_batch_graphs_equal_only_under_loose_equality(self, server, digests):
+        """Task ids 1 and 1.0 compare equal in Python but encode (and
+        schedule) differently, so the second graph is hashed on its own."""
+        ints = {"tasks": [[1, 2.0], [2, 3.0]], "edges": [[1, 2, 1.0]]}
+        floats = {"tasks": [[1.0, 2.0], [2.0, 3.0]], "edges": [[1.0, 2.0, 1.0]]}
+        assert ints == floats and wire.dumps(ints) != wire.dumps(floats)
+        with ServiceClient(server.address) as c:
+            responses = c.batch(
+                [
+                    {"op": "schedule", "params": {"graph": g, "heuristic": "MH"}}
+                    for g in (ints, floats)
+                ]
+            )
+        assert len(digests) == 2
+        for r, wg in zip(responses, (ints, floats)):
+            g = wire.graph_from_wire(wg)
+            expect = schedule_result("MH", g, get_scheduler("MH").schedule(g))
+            assert wire.dumps(r["result"]) == wire.dumps(expect)
+
+
 class TestDrain:
     def test_zero_dropped_in_flight(self):
         # fire a burst, then drain mid-flight: every request must get a
