@@ -1276,8 +1276,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_jobs_arg,
         default=1,
         metavar="N",
-        help="executor threads running scheduler code, per worker "
-        "(default 1)",
+        help="worker threads per worker process, for the ops not yet known "
+        "to be fast: a schedule or classify op that last ran on the same "
+        "graph within one GIL switch interval runs on the event loop "
+        "instead (default 1)",
     )
     p.add_argument(
         "--index-cache-size",

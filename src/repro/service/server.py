@@ -19,17 +19,42 @@ request pipeline, in order:
    decoded :class:`~repro.core.taskgraph.TaskGraph` — and therefore one
    :class:`~repro.core.kernels.GraphIndex` compile — via the size-bounded
    LRU index cache, so the compile cost of a hot graph is paid once, not
-   per request.
+   per request.  There is no separate analysis pass over a round's
+   distinct graphs: a graph's first op primes its level and
+   classification memos, and the cache keeps them with the graph.
 5. **Deadlines** — a request's relative ``deadline_ms`` becomes an
    absolute deadline at admission.  Work is refused *before* execution
    when the deadline has already passed (the queued time ate the budget)
    and a result computed *past* the deadline is discarded and reported as
    a 504 — the service-level analogue of the suite runner's per-call
-   timeout (PR 3): late work is reported, never silently served.
-6. **Execution** — op handlers run on a small thread pool and are plain
-   library calls over the shared wire codec.  The service adds transport,
-   never semantics: a schedule obtained here is byte-identical to the
-   same call through the library API.
+   timeout: late work is reported, never silently served.  A frame that
+   arrives while an op runs on the event loop (step 6) is read, and its
+   deadline started, when that op ends and before any other op runs on
+   the loop: it waits for at most one op whose last run took at most one
+   GIL switch interval, the same bound a worker thread holding the GIL
+   already puts on every frame read, health reply and deadline check.
+   Busy worker threads stretch that op's wall time by their share of the
+   GIL, as they stretch all work on the loop.
+6. **Execution** — a ``schedule`` or ``classify`` op runs directly on the
+   event-loop thread when the same op (same graph digest, heuristic and
+   ``improve`` flag) last ran in at most ``sys.getswitchinterval()``
+   seconds (5 ms by default).  Only a repeated op on a graph still in the
+   index cache qualifies; every other op — a first run, one measured
+   slower, ``simulate`` and ``batch`` — runs on the worker thread pool.
+   Both paths hold a slot of the same semaphore, sized to the pool.  The
+   budget is how long the GIL already lets a worker thread hold off the
+   loop thread, so running a known-fast op inline saves the thread hop
+   without raising that worst case.  The last measured time lives in the
+   graph's index-cache entry: it is bounded by the cache's capacity,
+   evicted with the graph, and with the cache off every op takes a
+   worker.  An inline op holds the loop's turn, one lock for all groups,
+   until the frames that arrived during it have been read and admitted;
+   only then is its reply sent and may the next inline op start, so at
+   most one inline op runs per loop pass whatever ``--threads`` is.
+   ``service.exec.loop`` and ``service.exec.worker`` count the two paths.
+   Op handlers are plain library calls over the shared wire codec.  The
+   service adds transport, never semantics: a schedule obtained here is
+   byte-identical to the same call through the library API.
 
 Observability: every queued request gets RED metrics (``service.requests``
 rate, ``service.errors``, a fixed-bucket ``service.latency_ms`` histogram
@@ -67,7 +92,6 @@ from time import perf_counter
 from typing import Any
 
 from ..core import wire
-from ..core.batch import batch_analyze, batch_enabled
 from ..core.exceptions import ReproError
 from ..core.kernels import discard_index
 from ..core.simulator import simulate_ordered
@@ -145,42 +169,111 @@ class _Item:
     deadline: float | None  # absolute loop.time() deadline
 
 
+def _op_key(request: Request) -> tuple | None:
+    """What makes two queued ops on one graph "the same op" for the
+    execution rule (module docstring, step 6); None for the ops that
+    always run on a worker thread."""
+    if request.op == "classify":
+        return ("classify",)
+    if request.op == "schedule":
+        name = request.params.get("heuristic", "CLANS")
+        if isinstance(name, str):
+            return ("schedule", name, bool(request.params.get("improve")))
+    return None
+
+
+def _loop_budget_s() -> float:
+    """The longest last run, in seconds, that lets an op run on the event
+    loop: one GIL switch interval, which is how long a worker thread may
+    already hold off the loop thread."""
+    return sys.getswitchinterval()
+
+
+async def _after_pending_reads() -> None:
+    """Yield to the loop until the frames that arrived meanwhile have been
+    read and admitted.
+
+    ``asyncio.sleep(0)`` would resume first: the loop's next pass runs
+    the callbacks already queued before the socket reads it polls.  A
+    zero-delay timer is queued after that pass's reads instead, so the
+    resumed task runs behind the connection handlers they wake.
+    """
+    loop = asyncio.get_running_loop()
+    done = loop.create_future()
+    timer = loop.call_later(0, done.set_result, None)
+    try:
+        await done
+    finally:
+        timer.cancel()
+
+
+class _Entry:
+    """One cached graph and, per op key, how long its last run took."""
+
+    __slots__ = ("graph", "seconds")
+
+    def __init__(self, graph: TaskGraph) -> None:
+        self.graph = graph
+        self.seconds: dict[tuple, float] = {}
+
+
 class _GraphCache:
     """Size-bounded LRU of graph digest → decoded (and index-compiled)
-    :class:`TaskGraph`, shared by all worker threads.
+    :class:`TaskGraph`, shared by the worker threads and the event loop.
 
     A hit skips both the JSON decode and — because the compiled
     :class:`~repro.core.kernels.GraphIndex` is memoized on the graph
     object — the index compile.  Eviction calls
     :func:`repro.core.kernels.discard_index` so a graph referenced
     elsewhere does not pin its index forever.  Hits/misses/evictions are
-    counted as ``service.index_cache.*``.
+    counted as ``service.index_cache.*``.  Each entry also keeps the last
+    run time of every op on its graph (:meth:`last_seconds`), which decides
+    where the next such op runs.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._items: OrderedDict[str, TaskGraph] = OrderedDict()
+        self._items: OrderedDict[str, _Entry] = OrderedDict()
         self._lock = threading.Lock()
 
     def get_or_decode(self, digest: str, wire_graph: Mapping[str, Any]) -> TaskGraph:
         registry = get_registry()
+        if self.capacity > 0:
+            with self._lock:
+                entry = self._items.get(digest)
+                if entry is not None:
+                    self._items.move_to_end(digest)
+                    registry.inc("service.index_cache.hits")
+                    return entry.graph
+        # Decoded outside the lock, which the event-loop thread takes to
+        # run a known-fast op and must not wait out another graph's decode.
+        graph = wire.graph_from_wire(wire_graph)
+        registry.inc("service.index_cache.misses")
         if self.capacity <= 0:
-            registry.inc("service.index_cache.misses")
-            return wire.graph_from_wire(wire_graph)
+            return graph
         with self._lock:
-            graph = self._items.get(digest)
-            if graph is not None:
-                self._items.move_to_end(digest)
-                registry.inc("service.index_cache.hits")
-                return graph
-            graph = wire.graph_from_wire(wire_graph)
-            self._items[digest] = graph
-            registry.inc("service.index_cache.misses")
+            # a racing decode of the same graph that got here first wins
+            entry = self._items.setdefault(digest, _Entry(graph))
             while len(self._items) > self.capacity:
                 _, evicted = self._items.popitem(last=False)
-                discard_index(evicted)
+                discard_index(evicted.graph)
                 registry.inc("service.index_cache.evictions")
-            return graph
+        return entry.graph
+
+    def last_seconds(self, digest: str, key: tuple) -> float | None:
+        """Seconds the op ``key`` last took on graph ``digest``; None when
+        it has not run since the graph entered the cache."""
+        with self._lock:
+            entry = self._items.get(digest)
+            return None if entry is None else entry.seconds.get(key)
+
+    def record(self, digest: str, key: tuple, seconds: float) -> None:
+        """Keep ``seconds`` as the last run time of op ``key`` on ``digest``
+        (dropped when the graph is not cached)."""
+        with self._lock:
+            entry = self._items.get(digest)
+            if entry is not None:
+                entry.seconds[key] = seconds
 
     def stats(self) -> dict:
         with self._lock:
@@ -234,6 +327,7 @@ class ReproServer:
         self._draining = False
         self._done = asyncio.Event()
         self._sem: asyncio.Semaphore | None = None
+        self._loop_turn = asyncio.Lock()  # held by the op running inline
         self._executor: ThreadPoolExecutor | None = None
         self._started_pc = 0.0
         self._address: tuple[str, int] | str | None = None
@@ -551,33 +645,6 @@ class ReproServer:
                 key: object = it.digest if it.digest is not None else object()
                 buckets.setdefault(key, []).append(it)
             registry = get_registry()
-            # Distinct simultaneous graphs: decode + analyze them in one
-            # vectorized pass before the groups run, so every group's
-            # first execution hits primed level/classification memos.
-            # Purely an accelerator — failures fall through to the
-            # per-item path, which reports decode errors properly.
-            if batch_enabled() and len(buckets) > 1:
-                entries = [
-                    (key, wg)
-                    for key, items in buckets.items()
-                    if isinstance(key, str)
-                    and isinstance(
-                        wg := items[0].request.params.get("graph"), dict
-                    )
-                ]
-                if len(entries) > 1:
-                    try:
-                        await asyncio.get_running_loop().run_in_executor(
-                            self._executor, self._prebatch_graphs, entries
-                        )
-                        registry.inc(
-                            "service.batch.prebatched", len(entries)
-                        )
-                    except Exception:  # noqa: BLE001 - daemon must not die
-                        self._log.debug(
-                            "prebatch pass failed; falling back to per-item",
-                            exc_info=True,
-                        )
             for items in buckets.values():
                 if len(items) > 1:
                     registry.inc("service.batch.groups")
@@ -606,6 +673,40 @@ class ReproServer:
             await self._run_item(item)
 
     async def _run_item(self, item: _Item) -> None:
+        """Run and answer one admitted request."""
+        key = _op_key(item.request)
+        on_loop = self._known_fast(item.digest, key)
+        if on_loop:
+            # One inline op per loop pass, across all groups: the turn is
+            # held until the frames that arrived during the op have been
+            # read and admitted, and the reply is sent after that.
+            await self._loop_turn.acquire()
+            # the graph may have been re-timed or evicted during the wait
+            on_loop = self._known_fast(item.digest, key)
+            if not on_loop:
+                self._loop_turn.release()
+        try:
+            response = await self._answer(item, key, on_loop=on_loop)
+            if on_loop:
+                await _after_pending_reads()
+        finally:
+            if on_loop:
+                self._loop_turn.release()
+        await self._send(item.conn, response)
+
+    def _known_fast(self, digest: str | None, key: tuple | None) -> bool:
+        """Whether the op ``key`` last ran on graph ``digest`` within the
+        loop budget (module docstring, step 6)."""
+        if key is None:
+            return False
+        last = self._cache.last_seconds(digest, key)
+        return last is not None and last <= _loop_budget_s()
+
+    async def _answer(
+        self, item: _Item, key: tuple | None, *, on_loop: bool
+    ) -> dict:
+        """Run one admitted request's op, on the loop thread or a worker
+        thread, and return its response."""
         loop = asyncio.get_running_loop()
         registry = get_registry()
         tracer = get_tracer()
@@ -640,13 +741,19 @@ class ReproServer:
             else:
                 try:
                     with registry.timer(f"service.op.{request.op}"):
-                        result = await loop.run_in_executor(
-                            self._executor,
-                            self._run_queued_op_in_ctx,
-                            ctx,
-                            request,
-                            item.digest,
-                        )
+                        if on_loop:
+                            registry.inc("service.exec.loop")
+                            result = self._run_timed(request, item.digest, key)
+                        else:
+                            registry.inc("service.exec.worker")
+                            result = await loop.run_in_executor(
+                                self._executor,
+                                self._run_queued_op_in_ctx,
+                                ctx,
+                                request,
+                                item.digest,
+                                key,
+                            )
                 except ProtocolError as exc:
                     code, message = exc.code, str(exc)
                 except ReproError as exc:
@@ -680,24 +787,40 @@ class ReproServer:
         finally:
             if token is not None:
                 deactivate(token)
-        await self._send(item.conn, response)
+        return response
 
     # ------------------------------------------------------------------
-    # op handlers (worker threads; plain library calls)
+    # op handlers (worker threads, or the loop for known-fast ops; plain
+    # library calls)
     # ------------------------------------------------------------------
     def _run_queued_op_in_ctx(
-        self, ctx: "TraceContext | None", request: Request, digest: str | None
+        self,
+        ctx: "TraceContext | None",
+        request: Request,
+        digest: str | None,
+        key: tuple | None,
     ) -> Any:
         """Executor-thread entry: ``run_in_executor`` does not propagate
         contextvars, so the trace context is re-activated here — that is
         what tags kernel-compile and scheduler spans with the trace id."""
         if ctx is None:
-            return self._run_queued_op(request, digest)
+            return self._run_timed(request, digest, key)
         token = activate(ctx)
         try:
-            return self._run_queued_op(request, digest)
+            return self._run_timed(request, digest, key)
         finally:
             deactivate(token)
+
+    def _run_timed(
+        self, request: Request, digest: str | None, key: tuple | None
+    ) -> Any:
+        """Run one queued op; an op with a ``key`` keeps how long it took
+        in its graph's cache entry (a failed run keeps nothing)."""
+        start = perf_counter()
+        result = self._run_queued_op(request, digest)
+        if key is not None:
+            self._cache.record(digest, key, perf_counter() - start)
+        return result
 
     def _run_queued_op(self, request: Request, digest: str | None) -> Any:
         """Run one queued op.  ``digest`` is the graph's digest when the
@@ -712,22 +835,6 @@ class ReproServer:
         if request.op == "simulate":
             return self._op_simulate(graph, request.params)
         raise ProtocolError(f"unknown op {request.op!r}")  # unreachable
-
-    def _prebatch_graphs(
-        self, entries: list[tuple[str, Mapping[str, Any]]]
-    ) -> None:
-        """Executor-thread entry: decode (LRU-cached) and batch-analyze the
-        distinct graphs of one dispatch round.  Undecodable graphs are
-        skipped — the owning request's own execution raises the protocol
-        error with proper attribution."""
-        graphs: list[TaskGraph] = []
-        for digest, wire_graph in entries:
-            try:
-                graphs.append(self._cache.get_or_decode(digest, wire_graph))
-            except (KeyError, TypeError, ValueError):
-                continue
-        if len(graphs) > 1:
-            batch_analyze(graphs)
 
     def _resolve_graph(
         self, params: Mapping[str, Any], digest: str | None

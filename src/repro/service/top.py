@@ -7,7 +7,8 @@ Errors / Duration plus the queue and cache gauges that explain them:
   (the counters themselves are monotonic);
 * **duration** — p50/p95/p99 from the server's fixed-bucket
   ``service.latency_ms`` histogram;
-* **pressure** — queue depth vs capacity, in-flight groups, shed and
+* **pressure** — queue depth vs capacity, in-flight groups, the share of
+  queued ops run on the event loop rather than a worker thread, shed and
   deadline-miss counts, batch-group occupancy, index-cache hit rate.
 
 :func:`render` is a pure function of two ``stats`` payloads (current and
@@ -81,6 +82,9 @@ def render(
     misses = counters.get("service.index_cache.misses", 0.0)
     lookups = hits + misses
     hit_pct = (hits / lookups * 100.0) if lookups else 0.0
+    on_loop = counters.get("service.exec.loop", 0.0)
+    executed = on_loop + counters.get("service.exec.worker", 0.0)
+    loop_pct = (on_loop / executed * 100.0) if executed else 0.0
     groups = counters.get("service.batch.groups", 0.0)
     grouped = counters.get("service.batch.grouped_requests", 0.0)
     occupancy = (grouped / groups) if groups else 0.0
@@ -106,6 +110,7 @@ def render(
         (
             f"queue    [{_bar(depth / capacity)}] {depth}/{capacity}"
             f"   inflight {stats.get('inflight_groups', 0)}"
+            f"   on loop {loop_pct:.1f}%"
             f"   shed {shed:.0f}   deadline {deadline:.0f}"
         ),
         (

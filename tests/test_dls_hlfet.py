@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import TaskGraph
+from repro.core.kernels import IndexedPool, b_levels_arr, graph_index
 from repro.schedulers import get_scheduler
+from repro.schedulers.dls import DLSScheduler
 
-from conftest import task_graphs
+from conftest import hunt_graphs, task_graphs, tie_graphs
+
+HUNT = hunt_graphs()
 
 
 class TestDLS:
@@ -40,6 +45,58 @@ class TestDLS:
     @settings(max_examples=30, deadline=None)
     def test_always_valid(self, g):
         get_scheduler("DLS").schedule(g).validate(g)
+
+
+def _reference_dls(graph, max_processors):
+    """DLS by its definition: every ready task on every candidate
+    processor, each start from a walk of the task's in-edges."""
+    gi = graph_index(graph)
+    static_level = b_levels_arr(graph, communication=False)
+    pool = IndexedPool(gi, max_processors=max_processors)
+    n_sched_preds = [0] * gi.n
+    ready = {i for i in range(gi.n) if gi.in_degree[i] == 0}
+    while ready:
+        n_cand = pool.n_processors + (1 if pool.can_grow else 0)
+        best = None
+        for i in ready:
+            for proc in range(n_cand):
+                start = pool.est_append(i, proc)
+                key = (-(static_level[i] - start), start, proc, i)
+                if best is None or key < best[0]:
+                    best = (key, i, proc, start)
+        _, i, proc, start = best
+        pool.place(i, proc, start)
+        ready.remove(i)
+        for j, _ in gi.succ_rows[i]:
+            n_sched_preds[j] += 1
+            if n_sched_preds[j] == gi.in_degree[j]:
+                ready.add(j)
+    return pool.schedule
+
+
+def _placements(schedule):
+    """Placement rows with exact (float-hex) times."""
+    return [
+        (repr(t), p, s.hex(), f.hex())
+        for t, p, s, f in schedule.to_dict()["placements"]
+    ]
+
+
+class TestDLSMatchesEdgeWalk:
+    """Arrival facts computed once per ready task give the same schedule,
+    bit for bit, as re-walking the in-edges for every candidate."""
+
+    @given(g=tie_graphs(), max_processors=st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_tie_graphs(self, g, max_processors):
+        got = DLSScheduler(max_processors=max_processors).schedule(g)
+        assert _placements(got) == _placements(_reference_dls(g, max_processors))
+
+    @pytest.mark.parametrize("max_processors", [None, 2])
+    @pytest.mark.parametrize("g", [g for _, g in HUNT], ids=[n for n, _ in HUNT])
+    def test_hunt_corpus(self, g, max_processors):
+        got = DLSScheduler(max_processors=max_processors).schedule(g)
+        assert _placements(got) == _placements(_reference_dls(g, max_processors))
 
 
 class TestHLFET:

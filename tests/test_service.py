@@ -12,15 +12,19 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.core import wire
+from repro.core.exceptions import CycleError
 from repro.generation.workloads import fork_join, gaussian_elimination
 from repro.schedulers.base import SCHEDULER_REGISTRY, get_scheduler
 from repro.service import ServerThread, ServiceClient, ServiceError
-from repro.service.protocol import schedule_result
+from repro.service import server as server_module
+from repro.service.protocol import classify_result, schedule_result
 
 
 @pytest.fixture(scope="module")
@@ -298,11 +302,10 @@ class TestBatchingByDigest:
             ) <= 10
 
     def test_distinct_graphs_prebatched_in_one_pass(self):
-        # pipeline distinct graphs; the dispatcher's prebatch pass must
-        # vectorize their analysis (counter fires) and every response must
-        # still be byte-identical to a direct library call
-        from repro.core.batch import use_batch
-
+        # pipeline distinct graphs: the burst queues behind the busy
+        # single-thread executor and is dispatched in shared rounds, and
+        # every response must still be byte-identical to a direct
+        # library call
         with ServerThread(port=0, threads=1, batch_max=32) as st:
             graphs = [fork_join(k, stages=2) for k in range(3, 9)]
 
@@ -310,25 +313,13 @@ class TestBatchingByDigest:
                 from repro.service.client import AsyncServiceClient
 
                 async with AsyncServiceClient(st.address) as ac:
-                    before = await ac.stats()
                     futs = [
                         asyncio.ensure_future(ac.schedule(g, "HLFET"))
                         for g in graphs
                     ]
-                    results = await asyncio.gather(*futs)
-                    after = await ac.stats()
-                    return results, before, after
+                    return await asyncio.gather(*futs)
 
-            with use_batch(True):
-                results, before, after = asyncio.run(run())
-
-            def delta(key):
-                return after["counters"].get(key, 0) - before["counters"].get(key, 0)
-
-            # the first request may dispatch alone, but the rest of the
-            # burst queues behind the busy single-thread executor and is
-            # prebatched together on the next dispatch round
-            assert delta("service.batch.prebatched") >= 2
+            results = asyncio.run(run())
             for g, got in zip(graphs, results):
                 expect = schedule_result(
                     "HLFET", g, get_scheduler("HLFET").schedule(g)
@@ -396,6 +387,293 @@ class TestDigestOnce:
             g = wire.graph_from_wire(wg)
             expect = schedule_result("MH", g, get_scheduler("MH").schedule(g))
             assert wire.dumps(r["result"]) == wire.dumps(expect)
+
+
+def _frame(req_id, op, params) -> bytes:
+    """One raw request frame."""
+    return json.dumps({"id": req_id, "op": op, "params": params}).encode() + b"\n"
+
+
+def _exec_counts(client) -> tuple[float, float]:
+    """(service.exec.loop, service.exec.worker) from a ``stats`` reply."""
+    counters = client.stats()["counters"]
+    return (
+        counters.get("service.exec.loop", 0.0),
+        counters.get("service.exec.worker", 0.0),
+    )
+
+
+def _op_path(client, call):
+    """Run ``call`` (one queued request); return the path the daemon ran
+    its op on and the reply."""
+    loop0, worker0 = _exec_counts(client)
+    reply = call()
+    loop1, worker1 = _exec_counts(client)
+    assert (loop1 - loop0) + (worker1 - worker0) == 1
+    return ("loop" if loop1 > loop0 else "worker"), reply
+
+
+class TestLoopExecution:
+    """A schedule or classify op whose last run on the same graph fit in a
+    GIL switch interval runs on the event-loop thread, with the same reply;
+    everything else takes a worker thread."""
+
+    @pytest.fixture(autouse=True)
+    def _generous_budget(self, monkeypatch):
+        # A loaded host can stretch any run past 5 ms; these tests are
+        # about the rule, not the budget's value, so no run exceeds it.
+        monkeypatch.setattr(server_module, "_loop_budget_s", lambda: 1.0)
+
+    def test_budget_is_the_switch_interval(self, monkeypatch):
+        monkeypatch.undo()  # the real lookup, not the fixture's
+        assert server_module._loop_budget_s() == sys.getswitchinterval()
+
+    @pytest.mark.parametrize("op", ["CLANS", "HLFET", "ETF", "LC", "classify"])
+    def test_second_run_goes_on_the_loop(self, op):
+        graphs = [fork_join(5), gaussian_elimination(4), fork_join(3, stages=3)]
+        with ServerThread(port=0) as st, ServiceClient(st.address) as c:
+            for g in graphs:
+                if op == "classify":
+                    expect = classify_result(g)
+                else:
+                    expect = schedule_result(op, g, get_scheduler(op).schedule(g))
+
+                def send():
+                    return c.classify(g) if op == "classify" else c.schedule(g, op)
+
+                first, reply1 = _op_path(c, send)
+                second, reply2 = _op_path(c, send)
+                assert (first, second) == ("worker", "loop")
+                assert wire.dumps(reply1) == wire.dumps(expect)
+                assert wire.dumps(reply2) == wire.dumps(expect)
+
+    def test_health_answers_while_the_worker_is_busy(self):
+        with ServerThread(port=0, threads=1) as st:
+
+            async def run():
+                from repro.service.client import AsyncServiceClient
+
+                async with AsyncServiceClient(st.address) as ac:
+                    slow = asyncio.ensure_future(
+                        ac.schedule(gaussian_elimination(24), "GA")
+                    )
+                    while (await ac.stats())["inflight_groups"] == 0:
+                        await asyncio.sleep(0.002)  # until the GA op starts
+                    t0 = time.perf_counter()
+                    health = await ac.health()
+                    waited = time.perf_counter() - t0
+                    busy = not slow.done()
+                    await slow
+                    return health, waited, busy
+
+            health, waited, busy = asyncio.run(run())
+        assert health["status"] == "ok"
+        assert busy  # the reply came while GA still held the worker
+        assert waited < 0.05
+
+    def test_op_over_the_budget_stays_on_the_worker(self, monkeypatch):
+        g = fork_join(4)
+        with ServerThread(port=0) as st, ServiceClient(st.address) as c:
+
+            def send():
+                return c.schedule(g, "HLFET")
+
+            monkeypatch.setattr(server_module, "_loop_budget_s", lambda: 0.0)
+            for _ in range(3):
+                assert _op_path(c, send)[0] == "worker"
+            monkeypatch.setattr(server_module, "_loop_budget_s", lambda: 1.0)
+            assert _op_path(c, send)[0] == "loop"
+
+    def test_no_cache_means_no_loop(self):
+        g = fork_join(4)
+        with ServerThread(port=0, index_cache_size=0) as st:
+            with ServiceClient(st.address) as c:
+                for _ in range(3):
+                    assert _op_path(c, lambda: c.classify(g))[0] == "worker"
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [(RuntimeError("boom"), 500), (CycleError("boom"), 400)],
+        ids=["internal", "repro-error"],
+    )
+    def test_exception_on_the_loop_matches_the_worker(self, monkeypatch, exc, code):
+        g = fork_join(4)
+        real = server_module.classify_result
+
+        def failing(graph):
+            raise exc
+
+        def send():
+            with pytest.raises(ServiceError) as info:
+                c.classify(g)
+            return info.value.code, info.value.message
+
+        with ServerThread(port=0) as st, ServiceClient(st.address) as c:
+            c.classify(g)  # measured on the worker: known fast from now on
+            monkeypatch.setattr(server_module, "classify_result", failing)
+            on_loop = _op_path(c, send)
+            monkeypatch.setattr(server_module, "_loop_budget_s", lambda: 0.0)
+            on_worker = _op_path(c, send)
+            assert on_loop == ("loop", on_worker[1])
+            assert on_worker[0] == "worker"
+            assert on_worker[1][0] == code
+            monkeypatch.setattr(server_module, "classify_result", real)
+            monkeypatch.setattr(server_module, "_loop_budget_s", lambda: 1.0)
+            # the daemon keeps serving, on the loop again
+            path, reply = _op_path(c, lambda: c.classify(g))
+            assert path == "loop"
+            assert wire.dumps(reply) == wire.dumps(classify_result(g))
+
+    def test_concurrent_ops_share_the_cache_safely(self):
+        """Four worker threads and the loop decode, evict and time graphs
+        in a two-entry cache at once: every reply is still the library's,
+        and the cache never holds more than its capacity."""
+        graphs = [fork_join(k) for k in (3, 4, 5)]
+        ops = [(g, name) for g in graphs for name in ("HLFET", "ETF", "classify")]
+        expect = {}
+        for g, name in ops:
+            if name == "classify":
+                expect[(id(g), name)] = wire.dumps(classify_result(g))
+            else:
+                direct = get_scheduler(name).schedule(g)
+                expect[(id(g), name)] = wire.dumps(schedule_result(name, g, direct))
+
+        async def run(address):
+            from repro.service.client import AsyncServiceClient
+
+            clients = [AsyncServiceClient(address) for _ in range(4)]
+            try:
+                before = await clients[0].stats()
+                for _ in range(8):
+                    calls = [
+                        (g, name, c.classify(g) if name == "classify" else c.schedule(g, name))
+                        for c in clients
+                        for g, name in ops
+                    ]
+                    replies = await asyncio.wait_for(
+                        asyncio.gather(*(call for _, _, call in calls)), 30
+                    )
+                    for (g, name, _), reply in zip(calls, replies):
+                        assert wire.dumps(reply) == expect[(id(g), name)]
+                return before, await clients[0].stats()
+            finally:
+                for c in clients:
+                    await c.close()
+
+        with ServerThread(port=0, threads=4, index_cache_size=2) as st:
+            before, after = asyncio.run(run(st.address))
+        assert after["index_cache"]["size"] <= 2
+        key = "service.index_cache.evictions"
+        assert after["counters"][key] > before["counters"].get(key, 0.0)
+
+    @pytest.mark.parametrize(
+        "threads, second_graph",
+        [(1, fork_join(4)), (2, fork_join(5))],
+        ids=["same-group", "two-groups"],
+    )
+    def test_frames_are_read_before_the_next_inline_op(
+        self, monkeypatch, threads, second_graph
+    ):
+        """A frame that arrives while an op runs on the loop is read before
+        the next inline op starts, whether that op is the same group's next
+        (one thread) or another group's, started in the same loop pass (two
+        threads)."""
+        g = fork_join(4)
+        started, release = threading.Event(), threading.Event()
+        events: list[str] = []
+        real_classify = server_module.classify_result
+        real_schedule = server_module.schedule_result
+        real_health = server_module.ReproServer._health
+
+        def blocking(graph):
+            events.append("op 1")
+            started.set()
+            assert release.wait(10)
+            return real_classify(graph)
+
+        def scheduling(*args):
+            events.append("op 2")
+            return real_schedule(*args)
+
+        def health(self):
+            events.append("health")
+            return real_health(self)
+
+        classify = ("classify", {"graph": wire.graph_to_wire(g)})
+        schedule = (
+            "schedule",
+            {"graph": wire.graph_to_wire(second_graph), "heuristic": "HLFET"},
+        )
+        with ServerThread(port=0, threads=threads) as st:
+            with ServiceClient(st.address) as c:
+                for _ in range(2):  # both ops known fast
+                    c.classify(g)
+                    c.schedule(second_graph, "HLFET")
+                loop0, _ = _exec_counts(c)
+            monkeypatch.setattr(server_module, "classify_result", blocking)
+            monkeypatch.setattr(server_module, "schedule_result", scheduling)
+            monkeypatch.setattr(server_module.ReproServer, "_health", health)
+            with socket.create_connection(st.address) as sock:
+                fh = sock.makefile("rwb")
+                # one write: both ops are admitted in one pass and
+                # dispatched in one round
+                sock.sendall(_frame(1, *classify) + _frame(2, *schedule))
+                assert started.wait(10)  # op 1 holds the loop thread
+                sock.sendall(_frame(3, "health", {}))
+                time.sleep(0.05)
+                release.set()
+                replies = [json.loads(fh.readline()) for _ in range(3)]
+            monkeypatch.setattr(server_module, "classify_result", real_classify)
+            monkeypatch.setattr(server_module, "schedule_result", real_schedule)
+            with ServiceClient(st.address) as c:
+                loop1, _ = _exec_counts(c)
+        assert events == ["op 1", "health", "op 2"]
+        assert sorted(r["id"] for r in replies) == [1, 2, 3]
+        assert all(r["ok"] for r in replies)
+        assert loop1 - loop0 == 2
+
+    def test_op_is_checked_again_after_waiting_for_the_turn(self, monkeypatch):
+        """An op that waited for the loop's turn is checked against the
+        budget again once it has the turn: here the budget shrank while
+        another group's op held the turn, so the op runs on a worker."""
+        g1, g2 = fork_join(4), fork_join(5)
+        started, release = threading.Event(), threading.Event()
+        real_classify = server_module.classify_result
+        real_health = server_module.ReproServer._health
+
+        def blocking(graph):
+            started.set()
+            assert release.wait(10)
+            return real_classify(graph)
+
+        def health(self):
+            # runs while op 1 still holds the turn and op 2 waits for it
+            monkeypatch.setattr(server_module, "_loop_budget_s", lambda: 0.0)
+            return real_health(self)
+
+        classify = ("classify", {"graph": wire.graph_to_wire(g1)})
+        schedule = ("schedule", {"graph": wire.graph_to_wire(g2), "heuristic": "HLFET"})
+        with ServerThread(port=0, threads=2) as st:
+            with ServiceClient(st.address) as c:
+                c.classify(g1)
+                c.schedule(g2, "HLFET")
+                counts0 = _exec_counts(c)
+            monkeypatch.setattr(server_module, "classify_result", blocking)
+            monkeypatch.setattr(server_module.ReproServer, "_health", health)
+            with socket.create_connection(st.address) as sock:
+                fh = sock.makefile("rwb")
+                sock.sendall(_frame(1, *classify) + _frame(2, *schedule))
+                assert started.wait(10)
+                sock.sendall(_frame(3, "health", {}))
+                time.sleep(0.05)
+                release.set()
+                replies = {r["id"]: r for r in (json.loads(fh.readline()) for _ in range(3))}
+            monkeypatch.setattr(server_module, "classify_result", real_classify)
+            with ServiceClient(st.address) as c:
+                counts1 = _exec_counts(c)
+        assert (counts1[0] - counts0[0], counts1[1] - counts0[1]) == (1, 1)
+        expect = schedule_result("HLFET", g2, get_scheduler("HLFET").schedule(g2))
+        assert wire.dumps(replies[2]["result"]) == wire.dumps(expect)
 
 
 class TestDrain:
@@ -595,6 +873,12 @@ class TestShardedTier:
             for s in stats["shards"]
         )
         assert stats["counters"]["service.requests"] == per_shard > 0
+        # the execution-path counters merge like any other
+        for key in ("service.exec.loop", "service.exec.worker"):
+            assert stats["counters"].get(key, 0.0) == sum(
+                s.get("counters", {}).get(key, 0.0) for s in stats["shards"]
+            )
+        assert stats["counters"]["service.exec.worker"] > 0
         assert stats["queue_capacity"] == 2 * 128  # summed across shards
         lat = stats["latency_ms"]
         assert lat is not None and lat["count"] >= per_shard - 1
@@ -608,6 +892,7 @@ class TestShardedTier:
         assert "0.0.4" in m["content_type"]
         assert "repro_service_requests_total" in m["text"]
         assert "repro_router_requests_total" in m["text"]
+        assert "repro_service_exec_worker_total" in m["text"]
         assert "repro_service_latency_ms_bucket" in m["text"]
 
     def test_top_renders_per_shard_rows(self, tier):

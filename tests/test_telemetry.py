@@ -433,6 +433,17 @@ class TestMetricsVerbAndTop:
         assert "shed 2" in frame and "deadline 1" in frame
         assert "90.0% hit" in frame
         assert "3.50 req/group" in frame
+        assert "on loop 0.0%" in frame  # no op has run yet
+
+    def test_render_shows_the_loop_share(self):
+        stats = {
+            "queue_capacity": 128,
+            "counters": {"service.exec.loop": 90.0, "service.exec.worker": 30.0},
+        }
+        queue_line = next(
+            line for line in render(stats).splitlines() if line.startswith("queue")
+        )
+        assert "on loop 75.0%" in queue_line
 
     def test_render_without_prev_shows_na_rates(self):
         frame = render({"counters": {}, "queue_capacity": 8})
