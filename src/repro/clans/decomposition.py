@@ -30,20 +30,26 @@ to the full set.  The closure's first wave is ``u``'s own splitter mask,
 so when that mask already meets a known-outside vertex ``u`` is settled
 without running the closure at all; that settles most pairs.
 
-Relations are integer bitsets, one Python int per vertex row: at testbed
-sizes (n of order 100) the closure waves fit in a few machine words each,
-and big-int and/or/xor beats the per-call overhead of many tiny numpy ops
-by a wide margin.  Vertices are numbered in topological order, components
-are discovered in ascending first-vertex order and smallest-module closures
-are seeded in (v, u) order, so the tree, children order included, is
-deterministic.  ``tests/test_kernels.py`` keeps a numpy implementation
-vectorized over the int8 relation matrix as a test-only reference that
-must produce the identical tree.
+Relations are integer bitsets, one Python int per vertex row, built from
+the compiled :class:`~repro.core.kernels.GraphIndex` adjacency rows: at
+testbed sizes (n of order 100) the closure waves fit in a few machine words
+each, and big-int and/or/xor beats the per-call overhead of many tiny numpy
+ops by a wide margin.  Vertex ``k`` is the ``k``-th id of the index's
+``topo_list`` (the graph's topological order), components are discovered in
+ascending first-vertex order and smallest-module closures are seeded in
+(v, u) order, so the tree, children order included, is deterministic.
+Every :class:`ClanNode` keeps its bitmask and builds its ``members``
+frozenset only on first access, so a parse whose consumer reads masks (as
+CLANS does) builds no set per clan.  ``tests/test_kernels.py`` keeps a
+numpy implementation vectorized over the int8 relation matrix, and
+``tests/test_index_references.py`` the task-keyed parse with a frozenset
+per clan, as test-only references that must produce the identical tree.
 """
 
 from __future__ import annotations
 
 from ..core.exceptions import DecompositionError
+from ..core.kernels import GraphIndex, graph_index
 from ..core.taskgraph import Task, TaskGraph
 from .parse_tree import ClanKind, ClanNode
 from .relations import RelationMatrix
@@ -60,66 +66,72 @@ def decompose(graph: TaskGraph) -> ClanNode:
     """Compute the clan parse tree of a DAG.
 
     Raises :class:`DecompositionError` for an empty graph (no parse exists).
+    Every node carries its vertex bitmask over ``graph``'s topological order
+    (:class:`ClanNode`), which is also ``graph_index(graph).topo_list``'s.
     """
     if graph.n_tasks == 0:
         raise DecompositionError("cannot decompose an empty graph")
-    br = _BitRelations(graph)
-    return _decompose_bits(br, br.full)
-
-
-def _make_internal(kind: ClanKind, children: list[ClanNode]) -> ClanNode:
-    members = frozenset().union(*(c.members for c in children))
-    return ClanNode(kind, members, children)
+    gi = graph_index(graph)
+    br = _BitRelations(gi)
+    order = [gi.tasks[i] for i in gi.topo_list]
+    return _decompose_bits(br, br.full, order)
 
 
 # ----------------------------------------------------------------------
 # bitset relations
 #
-# One Python int per vertex row: bit j of ``desc[i]`` marks a strict
-# descendant, etc.  Vertex numbering is the same ascending topological order
-# as RelationMatrix, so "lowest set bit" == "minimum topological index".
+# One Python int per vertex row: bit k of ``desc[i]`` marks a strict
+# descendant, etc.  Vertex ``k`` is position ``k`` of the index's
+# ``topo_list``, the same ascending topological order as RelationMatrix,
+# so "lowest set bit" == "minimum topological index".
 # ----------------------------------------------------------------------
 
 
 class _BitRelations:
     """Transitive ancestor/descendant relations as per-vertex bitmasks.
 
-    ``desc`` is built in reverse topological order from each vertex's
-    successors and ``anc`` in topological order from its predecessors, in
-    one pass over the edges each.  Every ancestor ``j`` of ``i`` reaches
-    ``i`` through some direct predecessor ``p``, and ``j`` is ``p`` itself
-    or an ancestor of ``p``, whose row is complete because ``p`` comes
-    first.  So ``anc[i]`` is exactly the set of ``j`` with ``i`` in
-    ``desc[j]``: the transpose of ``desc``.
+    Built from the compiled index's adjacency rows.  ``desc`` is built in
+    reverse topological order from each vertex's successors and ``anc`` in
+    topological order from its predecessors, in one pass over the edges
+    each.  Every ancestor ``j`` of ``i`` reaches ``i`` through some direct
+    predecessor ``p``, and ``j`` is ``p`` itself or an ancestor of ``p``,
+    whose row is complete because ``p`` comes first.  So ``anc[i]`` is
+    exactly the set of ``j`` with ``i`` in ``desc[j]``: the transpose of
+    ``desc``.
     """
 
-    __slots__ = ("tasks", "n", "full", "desc", "anc", "comp", "unrel")
+    __slots__ = ("n", "full", "desc", "anc", "comp", "unrel")
 
-    def __init__(self, graph: TaskGraph) -> None:
-        tasks = graph.topological_order()
-        index = {t: i for i, t in enumerate(tasks)}
-        n = len(tasks)
+    def __init__(self, gi: GraphIndex) -> None:
+        topo = gi.topo_list
+        n = gi.n
+        position = [0] * n
+        for k, i in enumerate(topo):
+            position[i] = k
+        rows = gi.succ_rows
         desc = [0] * n
-        for i in range(n - 1, -1, -1):
+        for k in range(n - 1, -1, -1):
             m = 0
-            for s in graph.successors(tasks[i]):
-                j = index[s]
-                m |= (1 << j) | desc[j]
-            desc[i] = m
+            for j, _ in rows[topo[k]]:
+                b = position[j]
+                m |= (1 << b) | desc[b]
+            desc[k] = m
+        rows = gi.pred_rows
         anc = [0] * n
-        for i in range(n):
+        for k in range(n):
             m = 0
-            for p in graph.predecessors(tasks[i]):
-                j = index[p]
-                m |= (1 << j) | anc[j]
-            anc[i] = m
-        self.tasks = tasks
+            for j, _ in rows[topo[k]]:
+                b = position[j]
+                m |= (1 << b) | anc[b]
+            anc[k] = m
+        full = (1 << n) - 1
+        comp = [d | a for d, a in zip(desc, anc)]
         self.n = n
-        self.full = (1 << n) - 1
+        self.full = full
         self.desc = desc
         self.anc = anc
-        self.comp = [desc[i] | anc[i] for i in range(n)]
-        self.unrel = [self.full & ~self.comp[i] & ~(1 << i) for i in range(n)]
+        self.comp = comp
+        self.unrel = [full & ~c & ~(1 << k) for k, c in enumerate(comp)]
 
 
 def _mask_components(subset: int, adj: list[int]) -> list[int]:
@@ -146,20 +158,25 @@ def _mask_components(subset: int, adj: list[int]) -> list[int]:
     return comps
 
 
-def _decompose_bits(br: _BitRelations, subset: int) -> ClanNode:
-    """Recursive modular decomposition on the vertex bitmask ``subset``."""
+def _decompose_bits(br: _BitRelations, subset: int, order: list[Task]) -> ClanNode:
+    """Recursive modular decomposition on the vertex bitmask ``subset``.
+
+    ``order`` is the topologically ordered task list the bits index.
+    """
     if subset & (subset - 1) == 0:
-        task = br.tasks[subset.bit_length() - 1]
-        return ClanNode(ClanKind.LEAF, frozenset([task]), task=task)
+        task = order[subset.bit_length() - 1]
+        return ClanNode(ClanKind.LEAF, task=task, mask=subset, order=order)
 
     comps = _mask_components(subset, br.comp)
     if len(comps) > 1:
-        children = [_decompose_bits(br, c) for c in comps]
-        return _make_internal(ClanKind.INDEPENDENT, children)
+        children = [_decompose_bits(br, c, order) for c in comps]
+        return ClanNode(
+            ClanKind.INDEPENDENT, children=children, mask=subset, order=order
+        )
 
     cocomps = _mask_components(subset, br.unrel)
     if len(cocomps) > 1:
-        children = [_decompose_bits(br, c) for c in cocomps]
+        children = [_decompose_bits(br, c, order) for c in cocomps]
         # Total order between co-components: ascending minimum topological
         # index (== ascending lowest bit) orders them; verify consecutive
         # representatives are uniformly oriented.
@@ -169,11 +186,11 @@ def _decompose_bits(br: _BitRelations, subset: int) -> ClanNode:
                 raise DecompositionError(
                     "linear clan children are not totally ordered (internal error)"
                 )
-        return _make_internal(ClanKind.LINEAR, children)
+        return ClanNode(ClanKind.LINEAR, children=children, mask=subset, order=order)
 
     parts = _primitive_children_bits(br, subset)
-    children = [_decompose_bits(br, part) for part in parts]
-    return _make_internal(ClanKind.PRIMITIVE, children)
+    children = [_decompose_bits(br, part, order) for part in parts]
+    return ClanNode(ClanKind.PRIMITIVE, children=children, mask=subset, order=order)
 
 
 def _primitive_children_bits(br: _BitRelations, subset: int) -> list[int]:

@@ -13,13 +13,18 @@ tasks and whose internal nodes are clans classified as
 (Appendix A.5 of the paper; "linear"/"independent"/"primitive" are the
 paper's terms for what modular-decomposition literature calls series,
 parallel and prime nodes.)
+
+The decomposition works on vertex bitmasks, so a node it builds keeps its
+clan as a mask over the graph's topological order and turns it into the
+``members`` frozenset only when someone asks: CLANS reads the masks and
+never pays for a set per clan.  A node built by hand from ``members`` works
+the same everywhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ..core.taskgraph import Task
 
@@ -35,7 +40,6 @@ class ClanKind(Enum):
     PRIMITIVE = "primitive"
 
 
-@dataclass
 class ClanNode:
     """One clan in the parse tree.
 
@@ -44,12 +48,48 @@ class ClanNode:
     order; for INDEPENDENT nodes the order is arbitrary but deterministic;
     for PRIMITIVE nodes the children are stored in a topological order of the
     quotient.
+
+    A node from :func:`~repro.clans.decompose` also has ``mask``: bit ``k``
+    is set iff ``order[k]`` is a member, where ``order`` is the graph's
+    topological order, shared by every node of the tree.  Its ``members``
+    set is built from the mask on first access.  A node built by hand as
+    ``ClanNode(kind, members, children, task=...)`` has ``mask`` None.
     """
 
-    kind: ClanKind
-    members: frozenset[Task]
-    children: list["ClanNode"] = field(default_factory=list)
-    task: Task | None = None  # set iff kind == LEAF
+    __slots__ = ("kind", "children", "task", "mask", "_members", "_order")
+
+    def __init__(
+        self,
+        kind: ClanKind,
+        members: frozenset[Task] | None = None,
+        children: list["ClanNode"] | None = None,
+        task: Task | None = None,  # set iff kind == LEAF
+        *,
+        mask: int | None = None,
+        order: Sequence[Task] | None = None,
+    ) -> None:
+        if members is None and (mask is None or order is None):
+            raise ValueError("a ClanNode needs members, or a mask and an order")
+        self.kind = kind
+        self.children: list[ClanNode] = [] if children is None else children
+        self.task = task
+        self.mask = mask
+        self._members = members
+        self._order = order
+
+    @property
+    def members(self) -> frozenset[Task]:
+        members = self._members
+        if members is None:
+            order = self._order
+            found = []
+            m = self.mask
+            while m:
+                low = m & -m
+                found.append(order[low.bit_length() - 1])
+                m ^= low
+            members = self._members = frozenset(found)
+        return members
 
     @property
     def is_leaf(self) -> bool:
@@ -57,7 +97,9 @@ class ClanNode:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        if self._members is None:
+            return self.mask.bit_count()
+        return len(self._members)
 
     def leaves(self) -> Iterator["ClanNode"]:
         """All leaf descendants (including self if a leaf), left to right."""

@@ -30,6 +30,15 @@ the quotient is an antichain and the mini-schedule reduces to LPT packing;
 for a PRIMITIVE clan it respects the quotient's precedence edges (the
 relation between sibling clans is uniform, so one member edge decides).
 See DESIGN.md section 3.
+
+**On the compiled index.**  The parse hands every clan over as a vertex
+bitmask (:class:`~repro.clans.parse_tree.ClanNode`), and everything here
+runs on the graph's :class:`~repro.core.kernels.GraphIndex`: leaf costs
+come from its weight vector, each quotient from the children's masks and
+its ``pred_rows``/``succ_rows`` through one owner array per graph, and the
+clusters are id lists timed by ``simulate_ordered_idx``.  The parse is still
+reached through :func:`~repro.clans.decomposition.decompose`, by module
+attribute, so anything that wraps that function sees every call.
 """
 
 from __future__ import annotations
@@ -39,9 +48,10 @@ from heapq import heapify, heappop, heappush
 
 from ..clans.decomposition import decompose
 from ..clans.parse_tree import ClanKind, ClanNode
+from ..core.kernels import GraphIndex, graph_index, simulate_ordered_idx
 from ..core.schedule import Schedule
-from ..core.simulator import serial_schedule, simulate_ordered
-from ..core.taskgraph import Task, TaskGraph
+from ..core.simulator import _count_run, serial_schedule
+from ..core.taskgraph import TaskGraph
 from ..obs.metrics import get_registry
 from .base import Scheduler, register
 
@@ -96,12 +106,17 @@ class _Quotient:
 
 @dataclass
 class _Context:
-    """Per-invocation scratch state (cost annotations and decisions)."""
+    """Per-invocation scratch state on the graph's compiled index."""
 
-    graph: TaskGraph
-    cost: dict[int, float] = field(default_factory=dict)
+    gi: GraphIndex
+    #: quotient child of each task id, offset by ``base``: the clan being
+    #: decided numbers its children ``base``, ``base + 1``, ...  Bases only
+    #: grow, and every clan is decided after the clans inside it, so a task
+    #: outside the current clan holds a value below ``base``.
+    owner: list[int]
+    base: int = 0
     decisions: dict[int, GroupDecision] = field(default_factory=dict)
-    clusters: list[list[Task]] = field(default_factory=lambda: [[]])
+    clusters: list[list[int]] = field(default_factory=lambda: [[]])
 
 
 @register
@@ -123,7 +138,8 @@ class ClansScheduler(Scheduler):
     def _schedule(self, graph: TaskGraph) -> Schedule:
         tree = decompose(graph)
         self.last_tree = tree
-        ctx = _Context(graph)
+        gi = graph_index(graph)
+        ctx = _Context(gi, [-1] * gi.n)
         self._annotate(tree, ctx)
         self._assign(tree, ctx, 0)
         registry = get_registry()
@@ -132,7 +148,8 @@ class ClansScheduler(Scheduler):
             "clans.parallel_decisions",
             sum(1 for d in ctx.decisions.values() if d.parallelized),
         )
-        schedule = simulate_ordered(graph, ctx.clusters, validate=False)
+        schedule, events = simulate_ordered_idx(gi, ctx.clusters)
+        _count_run(events)
         self.last_fallback = False
         if self.speedup_check and schedule.makespan > graph.serial_time() + 1e-9:
             self.last_fallback = True
@@ -144,47 +161,62 @@ class ClansScheduler(Scheduler):
     # pass 1: bottom-up costs and decisions
     # ------------------------------------------------------------------
     def _annotate(self, node: ClanNode, ctx: _Context) -> float:
+        """The decided cost of ``node``; records each grouping decision."""
         if node.is_leaf:
-            cost = ctx.graph.weight(node.task)
-        elif node.kind is ClanKind.LINEAR:
-            cost = sum(self._annotate(c, ctx) for c in node.children)
-        else:  # INDEPENDENT or PRIMITIVE: grouping decision on the quotient
-            for c in node.children:
-                self._annotate(c, ctx)
-            decision = self._decide(node, ctx)
-            ctx.decisions[id(node)] = decision
-            cost = decision.cost
-        ctx.cost[id(node)] = cost
-        return cost
+            gi = ctx.gi
+            return gi.weights[gi.topo_list[node.mask.bit_length() - 1]]
+        if node.kind is ClanKind.LINEAR:
+            return sum(self._annotate(c, ctx) for c in node.children)
+        # INDEPENDENT or PRIMITIVE: grouping decision on the quotient
+        costs = [self._annotate(c, ctx) for c in node.children]
+        decision = self._decide(self._quotient(node, costs, ctx))
+        ctx.decisions[id(node)] = decision
+        return decision.cost
 
-    def _quotient(self, node: ClanNode, ctx: _Context) -> _Quotient:
-        """Macro-task view of ``node``'s children.
+    @staticmethod
+    def _quotient(node: ClanNode, costs: list[float], ctx: _Context) -> _Quotient:
+        """Macro-task view of ``node``'s children, whose decided costs are
+        ``costs``.
 
         Quotient edge weights take the heaviest member-to-member message
         (concurrent messages overlap under model assumption 4, so the
         heaviest one bounds the added delay — the estimate the paper's
-        Figure 16 example uses).
+        Figure 16 example uses).  Each child's task ids come from its mask
+        and are stamped in ``ctx.owner``, so one read per edge end tells
+        which child, if any, holds it.
         """
+        gi = ctx.gi
+        topo = gi.topo_list
+        owner = ctx.owner
+        base = ctx.base
         n = len(node.children)
-        child_of: dict[Task, int] = {}
+        ctx.base = base + n
+        members: list[list[int]] = []
         for i, c in enumerate(node.children):
-            for t in c.members:
-                child_of[t] = i
-        graph = ctx.graph
-        costs = [ctx.cost[id(c)] for c in node.children]
+            mark = base + i
+            ids = []
+            m = c.mask
+            while m:
+                low = m & -m
+                t = topo[low.bit_length() - 1]
+                owner[t] = mark
+                ids.append(t)
+                m ^= low
+            members.append(ids)
+        pred_rows, succ_rows = gi.pred_rows, gi.succ_rows
         comm_in = [0.0] * n
         comm_out = [0.0] * n
         succ: list[dict[int, float]] = [{} for _ in range(n)]
         pred: list[dict[int, float]] = [{} for _ in range(n)]
-        for i, c in enumerate(node.children):
+        for i, ids in enumerate(members):
             c_in = c_out = 0.0
             succ_i = succ[i]
-            for t in c.members:
-                for p, w in graph.in_edges(t).items():
-                    if w > c_in and p not in child_of:
+            for t in ids:
+                for p, w in pred_rows[t]:
+                    if w > c_in and owner[p] < base:
                         c_in = w
-                for s, w in graph.out_edges(t).items():
-                    j = child_of.get(s, -1)
+                for s, w in succ_rows[t]:
+                    j = owner[s] - base
                     if j < 0:
                         if w > c_out:
                             c_out = w
@@ -195,8 +227,8 @@ class ClansScheduler(Scheduler):
             comm_out[i] = c_out
         return _Quotient(costs, comm_in, comm_out, succ, pred)
 
-    def _decide(self, node: ClanNode, ctx: _Context) -> GroupDecision:
-        """Best grouping of a clan's children onto ``k`` processors.
+    def _decide(self, q: _Quotient) -> GroupDecision:
+        """Best grouping of a clan's quotient ``q`` onto ``k`` processors.
 
         For each candidate ``k`` the quotient is list-scheduled onto ``k``
         processors (processor 0 is the *local* one: it holds the clan's
@@ -217,7 +249,6 @@ class ClansScheduler(Scheduler):
         Every larger ``k``, full parallelization included, gives this same
         schedule, which cannot beat ``best``.
         """
-        q = self._quotient(node, ctx)
         n = len(q.costs)
         if not self.speedup_check:
             return self._mini_schedule(q, n)
@@ -341,7 +372,8 @@ class ClansScheduler(Scheduler):
     # ------------------------------------------------------------------
     def _assign(self, node: ClanNode, ctx: _Context, cluster: int) -> None:
         if node.is_leaf:
-            ctx.clusters[cluster].append(node.task)
+            leaf = ctx.gi.topo_list[node.mask.bit_length() - 1]
+            ctx.clusters[cluster].append(leaf)
             return
         if node.kind is ClanKind.LINEAR:
             for child in node.children:
@@ -392,16 +424,24 @@ def _data_ready(
     waits ``comm_in`` for the clan's external input.  Returns the floor on
     a non-local processor that holds none of the predecessors, and a dict
     of the floors on processor 0 and on every processor that holds one.
+
+    One pass over the predecessors gives the first floor, processor 0's and
+    the set of holders; each holder other than processor 0 takes one more.
     """
     pred = q.pred[i].items()
     far = comm_in = q.comm_in[i]
-    near = {0: 0.0}  # base floors: 0 on the local processor, comm_in elsewhere
+    local = 0.0  # the local processor waits for no external input
+    near: dict[int, float] = {}
     for j, w in pred:
         arrival = finish[j] + w
         if arrival > far:
             far = arrival
         if proc_of[j]:
-            near[proc_of[j]] = comm_in
+            near[proc_of[j]] = comm_in  # its base floor
+        else:
+            arrival = finish[j] + 0.0
+        if arrival > local:
+            local = arrival
     for p in near:
         start = near[p]
         for j, w in pred:
@@ -409,4 +449,5 @@ def _data_ready(
             if arrival > start:
                 start = arrival
         near[p] = start
+    near[0] = local
     return far, near

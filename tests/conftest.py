@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from repro import TaskGraph
+from repro import ClansScheduler, TaskGraph
 
 
 # ----------------------------------------------------------------------
@@ -118,6 +118,20 @@ def hunt_graphs() -> list[tuple[str, TaskGraph]]:
             ]
             env.apply(cands[-1][0])
     return graphs
+
+
+class RecordingClans(ClansScheduler):
+    """CLANS that keeps every (quotient, decision) pair it makes, in
+    decision order."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.decided: list = []
+
+    def _decide(self, q):
+        decision = super()._decide(q)
+        self.decided.append((q, decision))
+        return decision
 
 
 # ----------------------------------------------------------------------

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 
 from repro import ClansScheduler, TaskGraph
 from repro.adversarial.store import build_base_graph
-from repro.clans import ClanKind, decompose
+from repro.clans import ClanKind
 from repro.experiments.advbench import BASE_SPEC
 from repro.schedulers.clans_sched import (
     GroupDecision,
-    _Context,
     _Quotient,
     _serial_decision,
 )
 
-from conftest import hunt_graphs, task_graphs
+from conftest import RecordingClans, hunt_graphs, task_graphs
 
 HUNT = hunt_graphs()
 
@@ -267,17 +266,6 @@ def quotients(draw, max_children: int = 9, wide: int = 16) -> _Quotient:
     )
 
 
-class _FixedQuotient(ClansScheduler):
-    """Decides on a given quotient instead of one built from a clan."""
-
-    def __init__(self, q: _Quotient, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.q = q
-
-    def _quotient(self, node, ctx) -> _Quotient:
-        return self.q
-
-
 class TestMiniScheduleMatchesExhaustiveScan:
     @given(q=quotients())
     @settings(max_examples=300, deadline=None)
@@ -296,27 +284,22 @@ class TestMiniScheduleMatchesExhaustiveScan:
     @given(q=quotients(), check=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_decide(self, q, check):
-        got = _FixedQuotient(q, speedup_check=check)._decide(None, None)
+        got = ClansScheduler(speedup_check=check)._decide(q)
         assert _same(got, _reference_decide(q, check))
 
     def test_primitive_heavy_graph(self):
         """The advbench base graph's clans, its primitive clan of 24
         children included: every k and every decision."""
         g = build_base_graph(BASE_SPEC)
-        sched = ClansScheduler()
-        tree = decompose(g)
-        ctx = _Context(g)
-        sched._annotate(tree, ctx)
+        sched = RecordingClans()
+        sched.schedule(g)
         widest = 0
-        for node in tree.walk():
-            if id(node) not in ctx.decisions:
-                continue
-            q = sched._quotient(node, ctx)
+        for q, decision in sched.decided:
             widest = max(widest, len(q.costs))
             for k in range(1, len(q.costs) + 1):
                 got = ClansScheduler._mini_schedule(q, k)
                 assert _same(got, _reference_mini_schedule(q, k)), k
-            assert _same(ctx.decisions[id(node)], _reference_decide(q))
+            assert _same(decision, _reference_decide(q))
         assert widest >= 20
 
     @pytest.mark.parametrize("check", [True, False])
@@ -324,11 +307,8 @@ class TestMiniScheduleMatchesExhaustiveScan:
     def test_hunt_corpus_decisions(self, g, check):
         """Every clan's decision on the hunt corpus
         (``conftest.hunt_graphs``) equals the exhaustive scan's."""
-        sched = ClansScheduler(speedup_check=check)
-        tree = decompose(g)
-        ctx = _Context(g)
-        sched._annotate(tree, ctx)
-        for node in tree.walk():
-            if id(node) in ctx.decisions:
-                q = sched._quotient(node, ctx)
-                assert _same(ctx.decisions[id(node)], _reference_decide(q, check))
+        sched = RecordingClans(speedup_check=check)
+        sched.schedule(g)
+        assert sched.decided
+        for q, decision in sched.decided:
+            assert _same(decision, _reference_decide(q, check))

@@ -491,11 +491,13 @@ def _transposed(desc: list[int]) -> list[int]:
 
 
 def _check_bit_relations(g: TaskGraph) -> None:
-    br = _BitRelations(g)
+    gi = graph_index(g)
+    br = _BitRelations(gi)
     rm = RelationMatrix(g)
     rel = rm.matrix
     n = br.n
-    assert br.tasks == rm.tasks
+    # bit k is position k of the index's topological order
+    assert [gi.tasks[i] for i in gi.topo_list] == rm.tasks
     assert br.desc == [
         sum(1 << j for j in range(n) if rel[i, j] == ABOVE) for i in range(n)
     ]

@@ -389,6 +389,27 @@ class TestDigestOnce:
             assert wire.dumps(r["result"]) == wire.dumps(expect)
 
 
+class TestCompileCounts:
+    """The first LC or CLANS request on a graph compiles its index once, and
+    a repeat on the graph the daemon still caches compiles none."""
+
+    @pytest.mark.parametrize("heuristic", ["LC", "CLANS"])
+    def test_repeat_adds_no_compile(self, heuristic):
+        g = gaussian_elimination(7)
+        with ServerThread(port=0) as st, ServiceClient(st.address) as c:
+
+            def misses() -> float:
+                return c.stats()["counters"].get("kernels.cache.misses", 0.0)
+
+            before = misses()
+            first = c.schedule(g, heuristic)
+            after_first = misses()
+            for _ in range(3):
+                assert wire.dumps(c.schedule(g, heuristic)) == wire.dumps(first)
+            assert after_first - before == 1
+            assert misses() == after_first
+
+
 def _frame(req_id, op, params) -> bytes:
     """One raw request frame."""
     return json.dumps({"id": req_id, "op": op, "params": params}).encode() + b"\n"
