@@ -14,7 +14,8 @@ Layout:
   JSONL journal (spec header, lease grants, first deliveries,
   quarantines);
 * :mod:`~repro.campaign.coordinator` — the lease state machine, the
-  exactly-once merge and the threaded NDJSON server;
+  exactly-once merge and its NDJSON endpoint on the service's endpoint
+  core (:mod:`repro.service.endpoint`);
 * :mod:`~repro.campaign.worker` — the lease/execute/heartbeat/submit
   loop (``repro campaign worker``).
 

@@ -1,4 +1,4 @@
-"""Campaign coordinator: lease table, exactly-once merge, NDJSON server.
+"""Campaign coordinator: lease table, exactly-once merge, NDJSON endpoint.
 
 The coordinator owns a campaign's full unit table and hands out
 time-limited **leases** over the service wire protocol
@@ -39,25 +39,25 @@ with a complete, explicit account of what was not computed.
 
 from __future__ import annotations
 
-import socket
+import asyncio
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 
 from ..experiments.faults import FailureRecord
 from ..experiments.measures import SuiteResult
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
+from ..service.endpoint import Conn, Endpoint, EndpointThread
 from ..service.protocol import (
+    CAMPAIGN_OPS,
     INTERNAL,
-    MAX_FRAME_BYTES,
     ProtocolError,
-    QUEUED_OPS,
     Request,
-    decode_request,
-    encode_response,
     error_response,
+    metrics_result,
     ok_response,
 )
 from .journal import CampaignJournal, CampaignState, UnitDelivery
@@ -67,6 +67,7 @@ __all__ = [
     "DEFAULT_LEASE_TTL",
     "Lease",
     "CampaignCoordinator",
+    "CoordinatorEndpoint",
     "CampaignServer",
 ]
 
@@ -436,176 +437,72 @@ class CampaignCoordinator:
             return SuiteResult(results, failures=failures)
 
 
-class CampaignServer:
-    """Thread-per-connection NDJSON server wrapping a coordinator.
+class CoordinatorEndpoint(Endpoint):
+    """A coordinator's verbs on the endpoint core (run by
+    :class:`CampaignServer`).
 
-    Threads (not asyncio, unlike the scheduling daemon): a coordinator
-    serves a handful of workers making a request every few seconds, so
-    connection concurrency is tiny and the blocking style keeps the
-    failure-handling paths — the whole point of this tier — obvious.  A
-    background reaper expires leases every ``lease_ttl / 4`` so crashed
-    workers are detected even when no one calls ``lease``.
+    Every verb runs on a worker thread, off the event loop: a verb blocked
+    on the journal's fsync, or on the coordinator's lock behind one, holds
+    up only its own connection.  A reaper task expires leases every
+    ``lease_ttl / 4``, so a crashed worker's unit returns to the pool even
+    when no one calls ``campaign.lease``.  The coordinator's ``lease`` and
+    ``submit`` are looked up on each call.
     """
 
+    _log = get_logger("campaign")
+
     def __init__(
-        self,
-        coordinator: CampaignCoordinator,
-        address: "tuple[str, int] | str",
+        self, coordinator: CampaignCoordinator, address: "tuple[str, int] | str"
     ) -> None:
-        self.coordinator = coordinator
-        self.address = address
-        self._sock: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
-        self._log = get_logger("campaign")
-        self._started = time.time()
-
-    @property
-    def bound_address(self) -> "tuple[str, int] | str":
-        """The actual listen address (resolves port 0 after :meth:`start`)."""
-        assert self._sock is not None, "server not started"
-        if isinstance(self.address, str):
-            return self.address
-        host, port = self._sock.getsockname()[:2]
-        return (host, port)
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        if isinstance(self.address, str):
-            # Same live-endpoint probe as `repro serve`: a coordinator
-            # killed -9 leaves its socket file behind, and `campaign
-            # resume` must rebind it — but never steal a live one.
-            from ..service.server import guard_unix_socket_path
-
-            guard_unix_socket_path(self.address)
-            try:
-                Path(self.address).unlink()
-            except OSError:
-                pass
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.bind(self.address)
+        if isinstance(address, str):
+            super().__init__(socket_path=address)
         else:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind(self.address)
-        sock.listen(64)
-        sock.settimeout(0.2)  # so the accept loop notices stop()
-        self._sock = sock
-        accept = threading.Thread(
-            target=self._accept_loop, name="campaign-accept", daemon=True
+            super().__init__(host=address[0], port=address[1])
+        self.coordinator = coordinator
+        self.verbs = dict.fromkeys(
+            CAMPAIGN_OPS | {"health", "stats", "metrics"}, self._off_loop
         )
-        reaper = threading.Thread(
-            target=self._reaper_loop, name="campaign-reaper", daemon=True
-        )
-        self._threads = [accept, reaper]
-        accept.start()
-        reaper.start()
+        self._reaper: asyncio.Task | None = None
+
+    async def start(self) -> None:
+        await super().start()
+        self._reaper = asyncio.get_running_loop().create_task(self._reap())
         self._log.info(
-            "campaign coordinator listening on %r (%d units)",
-            self.address,
+            "campaign coordinator listening on %s (%d units)",
+            self.endpoint,
             len(self.coordinator.units),
         )
 
-    def stop(self) -> None:
-        self._stop.set()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        for t in self._threads:
-            t.join(timeout=2.0)
-        if isinstance(self.address, str):
-            try:
-                Path(self.address).unlink()
-            except OSError:
-                pass
+    async def _finish(self) -> None:
+        self._reaper.cancel()
 
-    def serve_until_done(self, poll: float = 0.2, grace: float = 0.0) -> None:
-        """Block until every unit is completed or quarantined.
-
-        ``grace`` keeps the server answering for that many more seconds
-        after completion, so straggler workers — e.g. one retrying a
-        delivery whose ack a coordinator crash swallowed — get their
-        ``duplicate``/``done`` answer and exit promptly instead of
-        burning their whole patience budget against a vanished socket.
-        """
-        while not self._stop.is_set() and not self.coordinator.done:
-            time.sleep(poll)
-        if grace > 0 and not self._stop.is_set():
-            self._stop.wait(grace)
-
-    # ------------------------------------------------------------------
-    # loops
-    # ------------------------------------------------------------------
-    def _reaper_loop(self) -> None:
+    async def _reap(self) -> None:
         interval = max(0.05, self.coordinator.lease_ttl / 4.0)
-        while not self._stop.wait(interval):
-            self.coordinator.expire_leases()
+        loop = asyncio.get_running_loop()
+        while True:
+            await asyncio.sleep(interval)
+            await loop.run_in_executor(None, self.coordinator.expire_leases)
 
-    def _accept_loop(self) -> None:
-        assert self._sock is not None
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            t = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            )
-            t.start()
+    async def _off_loop(self, conn: Conn, request: Request) -> dict:
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, self._answer, request)
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        conn.settimeout(None)
-        file = conn.makefile("rwb")
-        try:
-            while not self._stop.is_set():
-                line = file.readline(MAX_FRAME_BYTES + 1)
-                if not line:
-                    return
-                response = self._handle_line(line)
-                file.write(encode_response(response))
-                file.flush()
-        except (OSError, ValueError):
-            pass  # client went away mid-frame; its lease will expire
-        finally:
-            try:
-                file.close()
-                conn.close()
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-    def _handle_line(self, line: bytes) -> dict:
+    def _answer(self, request: Request) -> dict:
         registry = get_registry()
         registry.inc("service.requests")
-        req_id = None
         try:
-            request = decode_request(line)
-            req_id = request.id
-            return ok_response(req_id, self._dispatch(request))
+            return ok_response(request.id, self._dispatch(request))
         except ProtocolError as exc:
             registry.inc("service.errors")
-            return error_response(req_id, exc.code, str(exc))
+            return error_response(request.id, exc.code, str(exc))
         except Exception as exc:  # noqa: BLE001 - server must not die
             registry.inc("service.errors")
             self._log.exception("internal error handling campaign request")
-            return error_response(req_id, INTERNAL, f"internal error: {exc}")
+            return error_response(request.id, INTERNAL, f"internal error: {exc}")
 
     def _dispatch(self, request: Request) -> dict:
         op, params = request.op, request.params
         coord = self.coordinator
-        if op in QUEUED_OPS or op == "control":
-            raise ProtocolError(
-                f"{op} requires a scheduling daemon (`repro serve`); this is "
-                "a campaign coordinator"
-            )
         if op == "health":
             return {
                 "status": "ok",
@@ -617,17 +514,12 @@ class CampaignServer:
             status = coord.status()
             return {
                 "role": "campaign",
-                "uptime_s": time.time() - self._started,
+                "uptime_s": perf_counter() - self._started_pc,
                 "counters": get_registry().counters(),
                 "campaign": status,
             }
         if op == "metrics":
-            from ..obs.prom import to_prometheus
-
-            return {
-                "content_type": "text/plain; version=0.0.4; charset=utf-8",
-                "text": to_prometheus(get_registry().snapshot()),
-            }
+            return metrics_result(get_registry().snapshot())
         if op == "campaign.status":
             return coord.status()
         worker = params.get("worker")
@@ -642,18 +534,50 @@ class CampaignServer:
             if not isinstance(unit_id, str):
                 raise ProtocolError("campaign.heartbeat requires 'unit_id'")
             return coord.heartbeat(worker, unit_id)
-        if op == "campaign.result":
-            unit_id = params.get("unit_id")
-            digest = params.get("digest")
-            if not isinstance(unit_id, str) or not isinstance(digest, str):
-                raise ProtocolError(
-                    "campaign.result requires 'unit_id' and 'digest'"
-                )
-            results = params.get("results")
-            failures = params.get("failures", [])
-            if not isinstance(results, list) or not isinstance(failures, list):
-                raise ProtocolError(
-                    "campaign.result requires list 'results' (and 'failures')"
-                )
-            return coord.submit(worker, unit_id, digest, results, failures)
-        raise ProtocolError(f"unknown campaign op {op!r}")
+        unit_id = params.get("unit_id")  # campaign.result
+        digest = params.get("digest")
+        if not isinstance(unit_id, str) or not isinstance(digest, str):
+            raise ProtocolError("campaign.result requires 'unit_id' and 'digest'")
+        results = params.get("results")
+        failures = params.get("failures", [])
+        if not isinstance(results, list) or not isinstance(failures, list):
+            raise ProtocolError(
+                "campaign.result requires list 'results' (and 'failures')"
+            )
+        return coord.submit(worker, unit_id, digest, results, failures)
+
+
+class CampaignServer(EndpointThread):
+    """A coordinator's :class:`CoordinatorEndpoint` on a background thread,
+    behind a synchronous API: :meth:`start`, :meth:`stop` (a drain: every
+    running verb's reply is sent first), :attr:`bound_address` and
+    :meth:`serve_until_done`."""
+
+    def __init__(
+        self,
+        coordinator: CampaignCoordinator,
+        address: "tuple[str, int] | str",
+    ) -> None:
+        self.coordinator = coordinator
+        super().__init__(
+            lambda: CoordinatorEndpoint(coordinator, address), name="campaign-server"
+        )
+
+    @property
+    def bound_address(self) -> "tuple[str, int] | str":
+        """The actual listen address (resolves port 0 after :meth:`start`)."""
+        return self.address
+
+    def serve_until_done(self, poll: float = 0.2, grace: float = 0.0) -> None:
+        """Block until every unit is completed or quarantined.
+
+        ``grace`` keeps the server answering for that many more seconds
+        after completion, so straggler workers — e.g. one retrying a
+        delivery whose ack a coordinator crash swallowed — get their
+        ``duplicate``/``done`` answer and exit promptly instead of
+        burning their whole patience budget against a vanished socket.
+        """
+        while self._thread.is_alive() and not self.coordinator.done:
+            time.sleep(poll)
+        if grace > 0:
+            self._thread.join(grace)

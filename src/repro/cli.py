@@ -947,9 +947,16 @@ def _campaign_serve(coordinator, args: argparse.Namespace) -> int:
     from .campaign import CampaignServer
     from .experiments.faults import format_failure_report
     from .experiments.persistence import save_results
+    from .service.endpoint import bind_failure, format_address
 
-    server = CampaignServer(coordinator, _campaign_address(args))
-    server.start()
+    command = f"repro campaign {args.campaign_command}"
+    resume = f"resume with: repro campaign resume --journal {coordinator.journal.path}"
+    address = _campaign_address(args)
+    server = CampaignServer(coordinator, address)
+    try:
+        server.start()
+    except OSError as exc:
+        return bind_failure(exc, command, format_address(address), f"; {resume}")
     workers = _spawn_local_workers(
         args.local_workers, server.bound_address, args.jobs
     )
@@ -962,15 +969,14 @@ def _campaign_serve(coordinator, args: argparse.Namespace) -> int:
         server.serve_until_done(grace=max(3.0, args.lease_ttl))
     except KeyboardInterrupt:
         interrupted = True
-        print(
-            f"interrupted; resume with: repro campaign resume "
-            f"--journal {coordinator.journal.path}",
-            file=sys.stderr,
-        )
     finally:
         _reap_local_workers(workers, force=interrupted)
-        server.stop()
+        try:
+            server.stop()
+        except RuntimeError as exc:  # a verb still running: merge without it
+            print(f"{command}: {exc}", file=sys.stderr)
     if interrupted:
+        print(f"interrupted; {resume}", file=sys.stderr)
         return 130
     merged = coordinator.merge()
     status = coordinator.status()

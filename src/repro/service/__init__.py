@@ -5,7 +5,12 @@ module import and :class:`~repro.core.kernels.GraphIndex` compile warm-up
 per process.  This package keeps one warm process serving many callers:
 
 * :mod:`repro.service.protocol` — the newline-delimited JSON wire protocol
-  (request/response framing, error codes, op result builders);
+  (request/response framing, error codes, op result builders, the verb →
+  tier map);
+* :mod:`repro.service.endpoint` — the endpoint core under the daemon, the
+  sharded router and the campaign coordinator: bind, frame loop, verb
+  dispatch, locked send, drain, and the foreground and background-thread
+  runners;
 * :mod:`repro.service.server` — the asyncio daemon (``repro serve``):
   bounded admission queue with load shedding, per-request deadlines,
   micro-batching of same-graph requests, a size-bounded LRU index cache,

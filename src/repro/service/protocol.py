@@ -21,19 +21,19 @@ silently served late.
 Ops: ``schedule``, ``classify``, ``simulate``, ``batch`` (queued, batched,
 deadline-checked) and ``health``, ``stats``, ``metrics``, ``control``
 (answered inline, never queued, so they stay responsive under overload).
-``control`` is only meaningful against the sharded router
-(:mod:`repro.service.shard` — rolling shard restarts); the single-process
-daemon rejects it with 400.  ``stats`` accepts ``{"full": true}`` to also
-return the complete metrics-registry snapshot, which is how the router
-merges worker registries exactly.
+``stats`` accepts ``{"full": true}`` to also return the complete
+metrics-registry snapshot, which is how the router merges worker
+registries exactly.  The campaign verbs ``campaign.register``,
+``campaign.lease``, ``campaign.heartbeat``, ``campaign.result`` and
+``campaign.status`` (:data:`CAMPAIGN_OPS`) use the same framing.
 
-The campaign tier (:mod:`repro.campaign`) speaks the same framing with its
-own verb family — ``campaign.register``, ``campaign.lease``,
-``campaign.heartbeat``, ``campaign.result``, ``campaign.status``
-(:data:`CAMPAIGN_OPS`) — served by a campaign coordinator
-(``repro campaign run``).  The scheduling daemon and the sharded router
-reject them with 400, mirroring how the plain daemon rejects ``control``:
-one wire codec, per-tier verb support.
+Every tier serves ``health``, ``stats`` and ``metrics``.  :data:`VERB_TIERS`
+names the tier that serves each other op: the queued ops a scheduling
+daemon (``repro serve``; the sharded router forwards them to its
+daemons), ``control`` the sharded router (rolling shard restarts), the
+campaign verbs a campaign coordinator (``repro campaign run``).  Each tier
+answers a known op it does not serve with a 400 naming the tier that does
+(:mod:`repro.service.endpoint`).
 
 Frames may carry a W3C-style ``traceparent`` string
 (``00-<32 hex>-<16 hex>-<2 hex>``, see :mod:`repro.obs.telemetry`); the
@@ -56,7 +56,8 @@ their intuition: 400 invalid request, 413 frame too large, 500 internal,
 The op result builders (:func:`schedule_result`, :func:`classify_result`,
 :func:`simulate_result`) are shared with the CLI's ``schedule --json`` /
 ``submit --json`` output, which is what makes "byte-identical through the
-service" a one-line assertion.
+service" a one-line assertion; :func:`metrics_result` builds every tier's
+``metrics`` payload.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from typing import Any
 
 from ..core import wire
 from ..core.metrics import anchor_out_degree, granularity, node_weight_range
+from ..obs.prom import to_prometheus
 from ..obs.telemetry import TRACEPARENT_KEY, parse_traceparent
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
@@ -77,6 +79,7 @@ __all__ = [
     "QUEUED_OPS",
     "INLINE_OPS",
     "CAMPAIGN_OPS",
+    "VERB_TIERS",
     "INVALID",
     "TOO_LARGE",
     "INTERNAL",
@@ -93,6 +96,7 @@ __all__ = [
     "decode_response",
     "schedule_result",
     "classify_result",
+    "metrics_result",
     "simulate_result",
 ]
 
@@ -108,8 +112,7 @@ QUEUED_OPS = frozenset({"schedule", "classify", "simulate", "batch"})
 #: Ops answered directly on the connection handler, never queued.
 INLINE_OPS = frozenset({"health", "stats", "metrics", "control"})
 
-#: Campaign-coordinator verbs (served by ``repro campaign run``; the
-#: scheduling daemon rejects them with 400).
+#: Campaign-coordinator verbs.
 CAMPAIGN_OPS = frozenset(
     {
         "campaign.register",
@@ -119,6 +122,14 @@ CAMPAIGN_OPS = frozenset(
         "campaign.status",
     }
 )
+
+#: The tier that serves each op not every tier serves, as the 400 from a
+#: tier that does not serve it names it: ``"<op> requires <tier>"``.
+VERB_TIERS = {
+    **dict.fromkeys(QUEUED_OPS, "a scheduling daemon (`repro serve`)"),
+    "control": "the sharded router (`repro serve --workers N`)",
+    **dict.fromkeys(CAMPAIGN_OPS, "a campaign coordinator (`repro campaign run`)"),
+}
 
 # Error codes (HTTP-flavoured).
 INVALID = 400
@@ -277,6 +288,15 @@ def classify_result(graph: TaskGraph) -> dict:
         "anchor_out_degree": anchor_out_degree(graph),
         "weight_range": [lo, hi],
         "serial_time": graph.serial_time(),
+    }
+
+
+def metrics_result(snapshot: Mapping[str, Any]) -> dict:
+    """The ``metrics`` op's result payload: a registry snapshot in
+    Prometheus text exposition format (version 0.0.4)."""
+    return {
+        "content_type": "text/plain; version=0.0.4; charset=utf-8",
+        "text": to_prometheus(snapshot),
     }
 
 

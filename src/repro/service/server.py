@@ -4,12 +4,14 @@ One warm process serves many callers over the newline-delimited JSON
 protocol of :mod:`repro.service.protocol`, on TCP or a Unix socket.  The
 request pipeline, in order:
 
-1. **Framing** — one request per line, with the stream reader's byte limit
-   bounding frame size (an oversized frame gets a 413 response and the
-   connection is closed, since line sync is lost).
-2. **Inline ops** — ``health`` and ``stats`` are answered directly on the
-   connection handler, never queued, so they stay responsive under
-   overload (that is the point of a health endpoint).
+1. **Framing** — the endpoint core (:mod:`repro.service.endpoint`) binds,
+   reads one request per line (an oversized frame gets a 413 response and
+   the connection is closed, since line sync is lost) and dispatches
+   through the daemon's verbs; ``control`` and the campaign verbs get a
+   400 naming the tier that serves them.
+2. **Inline ops** — ``health``, ``stats`` and ``metrics`` are answered
+   directly on the connection handler, never queued, so they stay
+   responsive under overload (that is the point of a health endpoint).
 3. **Admission control** — queued ops enter a bounded queue; when it is
    full (or the server is draining) the request is *shed* with a 503-style
    response instead of growing an unbounded backlog.  Shedding is cheap
@@ -68,20 +70,18 @@ scheduler spans) carry the caller's trace id, so one distributed trace
 stitches client and server.
 
 Graceful drain: on SIGTERM/SIGINT (or :meth:`ReproServer.begin_drain`) the
-listeners close, queued-but-unstarted requests are rejected with
-``status: "draining"``, in-flight requests run to completion and their
-responses are flushed, a run manifest is written via :mod:`repro.obs`, and
-the process exits 0.  Zero in-flight requests are dropped.
+core closes the listener; the daemon's part (:meth:`ReproServer._finish`)
+rejects queued-but-unstarted requests with ``status: "draining"`` and lets
+in-flight requests run to completion and flush their responses; then the
+core writes a run manifest via :mod:`repro.obs`, and the process exits 0.
+Zero in-flight requests are dropped.
 """
 
 from __future__ import annotations
 
 import asyncio
-import errno
 import marshal
 import os
-import signal
-import socket as socket_module
 import sys
 import threading
 from collections import OrderedDict
@@ -96,10 +96,7 @@ from ..core.exceptions import ReproError
 from ..core.kernels import discard_index
 from ..core.simulator import simulate_ordered
 from ..core.taskgraph import TaskGraph
-from ..obs.log import get_logger
-from ..obs.manifest import RunManifest
 from ..obs.metrics import DEFAULT_LATENCY_BOUNDS_MS, get_registry
-from ..obs.prom import to_prometheus
 from ..obs.telemetry import (
     TraceContext,
     activate,
@@ -110,8 +107,8 @@ from ..obs.telemetry import (
 )
 from ..obs.trace import get_tracer
 from ..schedulers.base import get_scheduler
+from .endpoint import Conn, Endpoint, EndpointThread, run_endpoint
 from .protocol import (
-    CAMPAIGN_OPS,
     DEADLINE,
     DEFAULT_PORT,
     INTERNAL,
@@ -119,26 +116,17 @@ from .protocol import (
     MAX_FRAME_BYTES,
     QUEUED_OPS,
     SHED,
-    TOO_LARGE,
     ProtocolError,
     Request,
     classify_result,
-    decode_request,
-    encode_response,
     error_response,
+    metrics_result,
     ok_response,
     schedule_result,
     simulate_result,
 )
 
-__all__ = [
-    "ReproServer",
-    "ServerThread",
-    "run_server",
-    "BIND_ERRNOS",
-    "format_bind_error",
-    "guard_unix_socket_path",
-]
+__all__ = ["ReproServer", "ServerThread", "run_server", "stats_view"]
 
 #: Queue sentinel telling the dispatcher to exit after the drain flush.
 _STOP = object()
@@ -147,23 +135,12 @@ _STOP = object()
 MAX_BATCH_REQUESTS = 1024
 
 
-class _Conn:
-    """One client connection: its writer plus a write lock (responses for
-    pipelined requests may complete concurrently)."""
-
-    __slots__ = ("writer", "lock")
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.lock = asyncio.Lock()
-
-
 @dataclass
 class _Item:
     """One admitted queued request."""
 
     request: Request
-    conn: _Conn
+    conn: Conn
     digest: str | None  # grouping key; None for ``batch``
     arrival_pc: float  # perf_counter at admission (latency/spans)
     deadline: float | None  # absolute loop.time() deadline
@@ -280,7 +257,23 @@ class _GraphCache:
             return {"size": len(self._items), "capacity": self.capacity}
 
 
-class ReproServer:
+def stats_view(snap: Mapping[str, Any]) -> dict:
+    """The registry part of a ``stats`` payload, from a snapshot of the
+    daemon's registry (or of the sharded router's merge of its workers')."""
+    return {
+        "counters": {
+            k: v
+            for k, v in snap["counters"].items()
+            if k.startswith(("service.", "kernels."))
+        },
+        "op_timers": {
+            k: v for k, v in snap["timers"].items() if k.startswith("service.op.")
+        },
+        "latency_ms": snap["histograms"].get("service.latency_ms"),
+    }
+
+
+class ReproServer(Endpoint):
     """The scheduling service daemon.  See the module docstring for the
     request pipeline; see :class:`ServerThread` for in-process embedding.
 
@@ -308,29 +301,29 @@ class ReproServer:
             raise ValueError(f"batch_max must be >= 1, got {batch_max}")
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
-        self.host = host
-        self.port = port
-        self.socket_path = socket_path
+        super().__init__(
+            host=host,
+            port=port,
+            socket_path=socket_path,
+            max_frame_bytes=max_frame_bytes,
+            manifest_path=manifest_path,
+        )
         self.queue_size = queue_size
         self.batch_max = batch_max
         self.threads = threads
-        self.max_frame_bytes = max_frame_bytes
-        self.manifest_path = manifest_path
+        self.verbs = {
+            "health": self._on_health,
+            "stats": self._on_stats,
+            "metrics": self._on_metrics,
+            **dict.fromkeys(QUEUED_OPS, self._on_queued),
+        }
         self._cache = _GraphCache(index_cache_size)
-        self._log = get_logger("service")
         self._queue: asyncio.Queue = asyncio.Queue()  # capacity enforced manually
-        self._conns: set[_Conn] = set()
         self._group_tasks: set[asyncio.Task] = set()
-        self._servers: list[asyncio.base_events.Server] = []
         self._dispatch_task: asyncio.Task | None = None
-        self._drain_started = False
-        self._draining = False
-        self._done = asyncio.Event()
         self._sem: asyncio.Semaphore | None = None
         self._loop_turn = asyncio.Lock()  # held by the op running inline
         self._executor: ThreadPoolExecutor | None = None
-        self._started_pc = 0.0
-        self._address: tuple[str, int] | str | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -341,61 +334,14 @@ class ReproServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.threads, thread_name_prefix="repro-service"
         )
-        if self.socket_path is not None:
-            guard_unix_socket_path(self.socket_path)
-            srv = await asyncio.start_unix_server(
-                self._handle_conn, path=self.socket_path, limit=self.max_frame_bytes
-            )
-            self._address = self.socket_path
-        else:
-            srv = await asyncio.start_server(
-                self._handle_conn, self.host, self.port, limit=self.max_frame_bytes
-            )
-            self._address = srv.sockets[0].getsockname()[:2]
-        self._servers = [srv]
+        await super().start()
         self._dispatch_task = asyncio.get_running_loop().create_task(self._dispatch())
-        self._started_pc = perf_counter()
         self._log.info("serving on %s", self.endpoint)
 
-    @property
-    def address(self) -> tuple[str, int] | str:
-        """Bound address: ``(host, port)`` for TCP, the path for Unix."""
-        if self._address is None:
-            raise RuntimeError("server not started")
-        return self._address
-
-    @property
-    def endpoint(self) -> str:
-        """Human-readable bound address (``host:port`` or ``unix:PATH``)."""
-        addr = self.address
-        if isinstance(addr, str):
-            return f"unix:{addr}"
-        return f"{addr[0]}:{addr[1]}"
-
-    @property
-    def requested_endpoint(self) -> str:
-        """The *configured* address, printable before binding succeeds."""
-        if self.socket_path is not None:
-            return f"unix:{self.socket_path}"
-        return f"{self.host}:{self.port}"
-
-    def begin_drain(self) -> None:
-        """Start a graceful drain (idempotent; also the SIGTERM handler)."""
-        if self._drain_started:
-            return
-        self._drain_started = True
-        asyncio.get_running_loop().create_task(self._drain())
-
-    async def wait_drained(self) -> None:
-        """Block until a drain started by :meth:`begin_drain` completes."""
-        await self._done.wait()
-
-    async def _drain(self) -> None:
+    async def _finish(self) -> None:
+        """The drain's daemon part: reject what is still queued, then let
+        the started groups run to completion and send their responses."""
         registry = get_registry()
-        self._draining = True
-        self._log.info("drain: closing listeners, rejecting queued requests")
-        for srv in self._servers:
-            srv.close()
         # Synchronously (no awaits) move queued-but-unstarted items aside and
         # plant the dispatcher's stop sentinel, so nothing can slip into the
         # queue between the flush and the sentinel.
@@ -411,7 +357,7 @@ class ReproServer:
         for item in flushed:
             registry.inc("service.shed")
             registry.inc("service.errors")
-            await self._send(
+            await self.send(
                 item.conn,
                 error_response(
                     item.request.id,
@@ -426,132 +372,44 @@ class ReproServer:
             await asyncio.gather(*list(self._group_tasks), return_exceptions=True)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
-        if self.manifest_path:
-            path = self._write_manifest()
-            self._log.info("drain: wrote run manifest to %s", path)
-        for srv in self._servers:
-            await srv.wait_closed()
-        for conn in list(self._conns):
-            conn.writer.close()
-        self._log.info("drain complete (%d rejected from queue)", len(flushed))
-        self._done.set()
+        self._log.info("drain: %d queued requests rejected", len(flushed))
 
-    def _write_manifest(self) -> str:
+    def _manifest_config(self) -> dict:
         registry = get_registry()
-        manifest = RunManifest.collect(
-            config={
-                "command": "serve",
-                "endpoint": self.endpoint,
-                "queue_size": self.queue_size,
-                "batch_max": self.batch_max,
-                "threads": self.threads,
-                "index_cache": self._cache.stats(),
-                "uptime_s": round(perf_counter() - self._started_pc, 3),
-                "requests": registry.counter("service.requests"),
-                "errors": registry.counter("service.errors"),
-                "shed": registry.counter("service.shed"),
-                "deadline_misses": registry.counter("service.deadline_misses"),
-            }
-        )
-        manifest.attach_metrics(registry)
-        return str(manifest.write(self.manifest_path))
+        return {
+            "command": "serve",
+            "endpoint": self.endpoint,
+            "queue_size": self.queue_size,
+            "batch_max": self.batch_max,
+            "threads": self.threads,
+            "index_cache": self._cache.stats(),
+            "uptime_s": round(perf_counter() - self._started_pc, 3),
+            "requests": registry.counter("service.requests"),
+            "errors": registry.counter("service.errors"),
+            "shed": registry.counter("service.shed"),
+            "deadline_misses": registry.counter("service.deadline_misses"),
+        }
 
     # ------------------------------------------------------------------
-    # connection handling
+    # verbs
     # ------------------------------------------------------------------
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Conn(writer)
-        self._conns.add(conn)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Oversized frame: the reader dropped its buffer, so line
-                    # sync is gone — report and close this connection.
-                    get_registry().inc("service.errors")
-                    await self._send(
-                        conn,
-                        error_response(
-                            None,
-                            TOO_LARGE,
-                            f"frame exceeds {self.max_frame_bytes} bytes",
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                await self._handle_frame(conn, line)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._conns.discard(conn)
-            writer.close()
+    async def _on_health(self, conn: Conn, request: Request) -> dict:
+        return ok_response(request.id, self._health())
 
-    async def _handle_frame(self, conn: _Conn, line: bytes) -> None:
-        registry = get_registry()
-        try:
-            request = decode_request(line)
-        except ProtocolError as exc:
-            # Salvage the id for correlation when the frame was valid JSON.
-            req_id = None
-            try:
-                obj = wire.loads(line)
-                if isinstance(obj, dict):
-                    candidate = obj.get("id")
-                    if isinstance(candidate, (int, str)):
-                        req_id = candidate
-            except ValueError:
-                pass
-            registry.inc("service.errors")
-            await self._send(conn, error_response(req_id, exc.code, str(exc)))
-            return
+    async def _on_stats(self, conn: Conn, request: Request) -> dict:
+        full = bool(request.params.get("full"))
+        return ok_response(request.id, self._stats(full=full))
 
-        if request.op == "health":
-            await self._send(conn, ok_response(request.id, self._health()))
-            return
-        if request.op == "stats":
-            full = bool(request.params.get("full"))
-            await self._send(conn, ok_response(request.id, self._stats(full=full)))
-            return
-        if request.op == "metrics":
-            await self._send(conn, ok_response(request.id, self._metrics()))
-            return
-        if request.op == "control":
-            registry.inc("service.errors")
-            await self._send(
-                conn,
-                error_response(
-                    request.id,
-                    INVALID,
-                    "control requires the sharded router (`repro serve --workers N`)",
-                ),
-            )
-            return
-        if request.op in CAMPAIGN_OPS:
-            registry.inc("service.errors")
-            await self._send(
-                conn,
-                error_response(
-                    request.id,
-                    INVALID,
-                    f"{request.op} requires a campaign coordinator "
-                    "(`repro campaign run`)",
-                ),
-            )
-            return
+    async def _on_metrics(self, conn: Conn, request: Request) -> dict:
+        return ok_response(request.id, metrics_result(get_registry().snapshot()))
 
+    async def _on_queued(self, conn: Conn, request: Request) -> dict | None:
         error = self._admit(conn, request)
         if error is not None:
-            registry.inc("service.errors")
-            await self._send(conn, error)
-            return
+            get_registry().inc("service.errors")
+        return error
 
-    def _admit(self, conn: _Conn, request: Request) -> dict | None:
+    def _admit(self, conn: Conn, request: Request) -> dict | None:
         """Admit ``request`` to the queue, or return the shed/invalid
         response to send instead."""
         registry = get_registry()
@@ -692,7 +550,7 @@ class ReproServer:
         finally:
             if on_loop:
                 self._loop_turn.release()
-        await self._send(item.conn, response)
+        await self.send(item.conn, response)
 
     def _known_fast(self, digest: str | None, key: tuple | None) -> bool:
         """Whether the op ``key`` last ran on graph ``digest`` within the
@@ -957,128 +815,19 @@ class ReproServer:
             "queue_capacity": self.queue_size,
             "inflight_groups": len(self._group_tasks),
             "index_cache": self._cache.stats(),
-            "counters": {
-                k: v
-                for k, v in snap["counters"].items()
-                if k.startswith(("service.", "kernels."))
-            },
-            "op_timers": {
-                k: v for k, v in snap["timers"].items() if k.startswith("service.op.")
-            },
-            "latency_ms": snap["histograms"].get("service.latency_ms"),
+            **stats_view(snap),
         }
         if full:
             payload["registry"] = snap
         return payload
 
-    def _metrics(self) -> dict:
-        """The ``metrics`` inline op: the full registry in Prometheus text
-        exposition format (version 0.0.4), ready for any scraper."""
-        return {
-            "content_type": "text/plain; version=0.0.4; charset=utf-8",
-            "text": to_prometheus(get_registry().snapshot()),
-        }
 
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    async def _send(self, conn: _Conn, obj: Mapping[str, Any]) -> None:
-        data = encode_response(obj)
-        try:
-            async with conn.lock:
-                if conn.writer.is_closing():
-                    return
-                conn.writer.write(data)
-                await conn.writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            get_registry().inc("service.responses.dropped")
+#: ``repro serve``'s foreground runner (see
+#: :func:`~repro.service.endpoint.run_endpoint`).
+run_server = run_endpoint
 
 
-#: Bind failures worth a readable one-liner instead of a traceback: port (or
-#: Unix socket path) taken, address not local, privileged port.
-BIND_ERRNOS = (errno.EADDRINUSE, errno.EADDRNOTAVAIL, errno.EACCES)
-
-
-def guard_unix_socket_path(path: str) -> None:
-    """Refuse to bind a Unix socket path that a live daemon is serving.
-
-    ``asyncio.start_unix_server`` unlinks an existing socket file
-    *unconditionally* before binding, so without this probe a second
-    ``repro serve --socket PATH`` silently steals the endpoint out from
-    under the running daemon (which keeps serving an unlinked inode that
-    no new client can reach).  Probe with a connect: anything accepting
-    means EADDRINUSE; a stale leftover (connection refused) is left for
-    asyncio's unlink-and-bind to clean up.
-    """
-    if not os.path.exists(path):
-        return
-    probe = socket_module.socket(socket_module.AF_UNIX)
-    try:
-        probe.settimeout(0.25)
-        probe.connect(path)
-    except OSError:
-        return  # stale socket file (or not a socket): asyncio handles it
-    finally:
-        probe.close()
-    raise OSError(errno.EADDRINUSE, "Address already in use", path)
-
-
-def format_bind_error(endpoint: str, exc: OSError) -> str:
-    """The operator-facing message for a failed listen (exit code 2)."""
-    reason = exc.strerror or str(exc)
-    hint = (
-        " (is another daemon already running there?)"
-        if exc.errno == errno.EADDRINUSE
-        else ""
-    )
-    return f"repro serve: cannot listen on {endpoint}: {reason}{hint}"
-
-
-def run_server(
-    server: ReproServer, *, handle_signals: bool = True, banner: bool = True
-) -> int:
-    """Run ``server`` until a graceful drain completes; returns 0, or 2 when
-    the requested address cannot be bound (already in use, not local,
-    privileged) — a readable one-liner instead of an asyncio traceback.
-
-    Installs SIGTERM/SIGINT handlers that begin the drain, so a supervisor's
-    ``kill -TERM`` finishes in-flight work, writes the manifest, and exits
-    cleanly.  ``banner=False`` suppresses the stderr listening line (used by
-    the sharded tier's worker processes, where the router owns the banner).
-    """
-
-    async def _main() -> int:
-        try:
-            await server.start()
-        except OSError as exc:
-            if exc.errno in BIND_ERRNOS:
-                print(
-                    format_bind_error(server.requested_endpoint, exc),
-                    file=sys.stderr,
-                    flush=True,
-                )
-                return 2
-            raise
-        if handle_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, server.begin_drain)
-                except NotImplementedError:  # pragma: no cover - non-POSIX
-                    pass
-        if banner:
-            print(
-                f"repro service listening on {server.endpoint}",
-                file=sys.stderr,
-                flush=True,
-            )
-        await server.wait_drained()
-        return 0
-
-    return asyncio.run(_main())
-
-
-class ServerThread:
+class ServerThread(EndpointThread):
     """Run a :class:`ReproServer` on a background thread with its own event
     loop — the embedding used by tests and benchmarks.
 
@@ -1093,68 +842,8 @@ class ServerThread:
     """
 
     def __init__(self, **server_kwargs: Any) -> None:
-        self._kwargs = server_kwargs
-        self._ready = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._server: ReproServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._error: BaseException | None = None
-
-    def start(self) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-server", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise RuntimeError("server thread did not start within 10s")
-        if self._error is not None:
-            raise RuntimeError(f"server failed to start: {self._error!r}")
-        return self
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # noqa: BLE001 - surfaced via start()/stop()
-            self._error = exc
-        finally:
-            self._ready.set()
-
-    async def _amain(self) -> None:
-        server = ReproServer(**self._kwargs)
-        await server.start()
-        self._server = server
-        self._loop = asyncio.get_running_loop()
-        self._ready.set()
-        await server.wait_drained()
+        super().__init__(lambda: ReproServer(**server_kwargs), name="repro-server")
 
     @property
     def server(self) -> ReproServer:
-        assert self._server is not None
-        return self._server
-
-    @property
-    def address(self) -> tuple[str, int] | str:
-        return self.server.address
-
-    def stop(self, timeout: float = 15.0) -> None:
-        """Gracefully drain and join the server thread."""
-        if (
-            self._thread is not None
-            and self._thread.is_alive()
-            and self._loop is not None
-            and self._server is not None
-        ):
-            try:
-                self._loop.call_soon_threadsafe(self._server.begin_drain)
-            except RuntimeError:  # the loop closed since the check: drained
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout)
-            if self._thread.is_alive():
-                raise RuntimeError("server thread did not drain within timeout")
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+        return self.endpoint

@@ -36,6 +36,9 @@ module scales it out without changing its semantics:
   ``routing`` envelope field which the client SDKs fold into the
   ``client.shard_retries``/``client.reroutes`` pressure counters.
 
+The router is a :class:`~repro.service.endpoint.Endpoint`: the core owns
+bind, framing, verb dispatch and the drain skeleton, and the router adds
+only its supervisor, ring, forward/retry, merged views and ``control``.
 ``repro serve --workers N`` (N >= 2) runs this tier; ``--workers 1`` keeps
 the original single-process daemon byte-for-byte.
 """
@@ -47,8 +50,6 @@ import contextlib
 import multiprocessing
 import os
 import shutil
-import signal
-import socket as socket_module
 import sys
 import tempfile
 import threading
@@ -59,36 +60,34 @@ from typing import Any
 
 from ..core import wire
 from ..obs.log import get_logger
-from ..obs.manifest import RunManifest
 from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.prom import to_prometheus
 from ..obs.telemetry import current_context, parse_traceparent, use_context
 from .client import AsyncServiceClient, ServiceError
+from .endpoint import (
+    Conn,
+    Endpoint,
+    EndpointThread,
+    run_endpoint,
+    unix_socket_accepts,
+)
 from .protocol import (
     DEFAULT_PORT,
+    INLINE_OPS,
     INTERNAL,
     INVALID,
     MAX_FRAME_BYTES,
+    QUEUED_OPS,
     SHED,
-    TOO_LARGE,
-    ProtocolError,
     Request,
-    decode_request,
-    encode_response,
     error_response,
+    metrics_result,
     ok_response,
 )
 from .ring import DEFAULT_VNODES, HashRing
-from .server import (
-    BIND_ERRNOS,
-    _Conn,
-    ReproServer,
-    format_bind_error,
-    guard_unix_socket_path,
-    run_server,
-)
+from .server import ReproServer, run_server, stats_view
 
 __all__ = [
+    "ShardStartError",
     "ShardSupervisor",
     "ReproRouter",
     "ShardedTier",
@@ -99,6 +98,10 @@ __all__ = [
 #: now" (draining) or could not be reached at all (restart window).  Shed,
 #: invalid and deadline responses are real answers and pass through.
 RETRIABLE_STATUSES = frozenset({"draining", "unavailable"})
+
+
+class ShardStartError(RuntimeError):
+    """A worker process exited or did not accept connections in time."""
 
 
 def _worker_main(socket_path: str, config: dict) -> None:
@@ -191,20 +194,15 @@ class ShardSupervisor:
         while time.monotonic() < deadline:
             proc = self._procs[shard]
             if proc is not None and not proc.is_alive():
-                raise RuntimeError(
+                raise ShardStartError(
                     f"shard {shard} exited with code {proc.exitcode} during startup"
                 )
-            try:
-                probe = socket_module.socket(
-                    socket_module.AF_UNIX, socket_module.SOCK_STREAM
-                )
-                probe.settimeout(1.0)
-                probe.connect(path)
-                probe.close()
+            if unix_socket_accepts(path, 1.0):
                 return
-            except OSError:
-                time.sleep(0.05)
-        raise RuntimeError(f"shard {shard} not accepting within {self.spawn_timeout}s")
+            time.sleep(0.05)
+        raise ShardStartError(
+            f"shard {shard} not accepting within {self.spawn_timeout}s"
+        )
 
     def restart(self, shard: int, *, drain_timeout: float = 30.0) -> None:
         """Rolling restart of one shard: SIGTERM (graceful drain), join,
@@ -281,14 +279,19 @@ class ShardSupervisor:
             shutil.rmtree(self.runtime_dir, ignore_errors=True)
 
 
-class ReproRouter:
+class ReproRouter(Endpoint):
     """The NDJSON front door of the sharded tier.
 
     Listens on TCP or a Unix socket (same flags as the daemon), keeps one
     pipelined :class:`AsyncServiceClient` per shard, and handles every
     frame on its own task so a slow shard never blocks the connection.
-    See the module docstring for routing, retry and merge semantics.
+    :meth:`start` binds first and then spawns the workers, so a taken
+    address fails before paying for them.  See the module docstring for
+    routing, retry and merge semantics.
     """
+
+    counter_prefix = "router"
+    _log = get_logger("service.router")
 
     def __init__(
         self,
@@ -303,188 +306,86 @@ class ReproRouter:
         max_frame_bytes: int = MAX_FRAME_BYTES,
         manifest_path: str | None = None,
     ) -> None:
+        super().__init__(
+            host=host,
+            port=port,
+            socket_path=socket_path,
+            max_frame_bytes=max_frame_bytes,
+            manifest_path=manifest_path,
+        )
         self.supervisor = supervisor
-        self.host = host
-        self.port = port
-        self.socket_path = socket_path
         self.ring = HashRing(range(supervisor.n_shards), vnodes=vnodes)
         self.shard_retries = shard_retries
         self.shard_backoff = shard_backoff
-        self.max_frame_bytes = max_frame_bytes
-        self.manifest_path = manifest_path
-        self._log = get_logger("service.router")
+        self.verbs = dict.fromkeys(QUEUED_OPS | INLINE_OPS, self._spawn)
         self._clients: list[AsyncServiceClient] = []
-        self._conns: set[_Conn] = set()
-        self._frame_tasks: set[asyncio.Task] = set()
-        self._servers: list[asyncio.base_events.Server] = []
         self._rr = 0  # round-robin cursor for digestless ops
-        self._draining = False
-        self._drain_started = False
-        self._done = asyncio.Event()
-        self._started_pc = 0.0
-        self._address: "tuple[str, int] | str | None" = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listener and open one pipelined client per shard (the
-        clients connect lazily, so binding can precede worker spawn)."""
+        """Bind the listener, then spawn the workers and wait until each
+        accepts; the per-shard clients connect lazily."""
         self._clients = [
             AsyncServiceClient(
                 self.supervisor.socket_path(shard), retries=2, backoff=0.05
             )
             for shard in range(self.supervisor.n_shards)
         ]
-        if self.socket_path is not None:
-            guard_unix_socket_path(self.socket_path)
-            srv = await asyncio.start_unix_server(
-                self._handle_conn, path=self.socket_path, limit=self.max_frame_bytes
-            )
-            self._address = self.socket_path
-        else:
-            srv = await asyncio.start_server(
-                self._handle_conn, self.host, self.port, limit=self.max_frame_bytes
-            )
-            self._address = srv.sockets[0].getsockname()[:2]
-        self._servers = [srv]
-        self._started_pc = perf_counter()
+        await super().start()
+        loop = asyncio.get_running_loop()
+        try:
+            await loop.run_in_executor(None, self.supervisor.start)
+        except BaseException:
+            self._server.close()
+            await loop.run_in_executor(None, self.supervisor.stop)
+            raise
         self._log.info(
             "routing on %s across %d shards", self.endpoint, len(self._clients)
         )
 
     @property
-    def address(self) -> "tuple[str, int] | str":
-        if self._address is None:
-            raise RuntimeError("router not started")
-        return self._address
+    def banner(self) -> str:
+        return (
+            f"{super().banner} ({self.supervisor.n_shards} workers, "
+            "digest-affinity routing)"
+        )
 
-    @property
-    def endpoint(self) -> str:
-        addr = self.address
-        if isinstance(addr, str):
-            return f"unix:{addr}"
-        return f"{addr[0]}:{addr[1]}"
-
-    @property
-    def requested_endpoint(self) -> str:
-        if self.socket_path is not None:
-            return f"unix:{self.socket_path}"
-        return f"{self.host}:{self.port}"
-
-    def begin_drain(self) -> None:
-        """Graceful drain (idempotent; the SIGTERM handler): stop accepting,
-        finish in-flight forwards, then drain the workers themselves."""
-        if self._drain_started:
-            return
-        self._drain_started = True
-        self._draining = True
-        asyncio.get_running_loop().create_task(self._drain())
-
-    async def wait_drained(self) -> None:
-        await self._done.wait()
-
-    async def _drain(self) -> None:
-        self._log.info("drain: closing listener, finishing in-flight forwards")
-        for srv in self._servers:
-            srv.close()
-        # In-flight frames complete first — their workers are still up.  New
-        # queued ops arriving on open connections get 503 "draining".  A few
-        # rounds, since a frame task may spawn while we gather.
-        for _ in range(10):
-            tasks = [t for t in self._frame_tasks if not t.done()]
-            if not tasks:
-                break
-            await asyncio.gather(*tasks, return_exceptions=True)
+    async def _finish(self) -> None:
+        """The drain's router part, once the core has seen every in-flight
+        forward answered while its worker was still up: drain the workers."""
         for client in self._clients:
             await client.close()
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.supervisor.stop)
-        if self.manifest_path:
-            path = self._write_manifest()
-            self._log.info("drain: wrote run manifest to %s", path)
-        for srv in self._servers:
-            await srv.wait_closed()
-        for conn in list(self._conns):
-            conn.writer.close()
-        self._log.info("drain complete")
-        self._done.set()
+        await asyncio.get_running_loop().run_in_executor(None, self.supervisor.stop)
 
-    def _write_manifest(self) -> str:
+    def _manifest_config(self) -> dict:
         registry = get_registry()
-        manifest = RunManifest.collect(
-            config={
-                "command": "serve",
-                "mode": "router",
-                "endpoint": self.endpoint,
-                "workers": self.supervisor.n_shards,
-                "worker_config": self.supervisor.worker_config,
-                "restarts": self.supervisor.restarts,
-                "respawns": self.supervisor.respawns,
-                "uptime_s": round(perf_counter() - self._started_pc, 3),
-                "requests": registry.counter("router.requests"),
-                "errors": registry.counter("router.errors"),
-                "shard_retries": registry.counter("router.shard_retries"),
-                "reroutes": registry.counter("router.reroutes"),
-            }
-        )
-        manifest.attach_metrics(registry)
-        return str(manifest.write(self.manifest_path))
+        return {
+            "command": "serve",
+            "mode": "router",
+            "endpoint": self.endpoint,
+            "workers": self.supervisor.n_shards,
+            "worker_config": self.supervisor.worker_config,
+            "restarts": self.supervisor.restarts,
+            "respawns": self.supervisor.respawns,
+            "uptime_s": round(perf_counter() - self._started_pc, 3),
+            "requests": registry.counter("router.requests"),
+            "errors": registry.counter("router.errors"),
+            "shard_retries": registry.counter("router.shard_retries"),
+            "reroutes": registry.counter("router.reroutes"),
+        }
 
     # ------------------------------------------------------------------
-    # connection handling
+    # frames
     # ------------------------------------------------------------------
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Conn(writer)
-        self._conns.add(conn)
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    get_registry().inc("router.errors")
-                    await self._send(
-                        conn,
-                        error_response(
-                            None,
-                            TOO_LARGE,
-                            f"frame exceeds {self.max_frame_bytes} bytes",
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                # One task per frame: pipelined requests to different shards
-                # proceed concurrently; _Conn.lock serializes the writes.
-                task = loop.create_task(self._handle_frame(conn, line))
-                self._frame_tasks.add(task)
-                task.add_done_callback(self._frame_tasks.discard)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._conns.discard(conn)
-            writer.close()
+    async def _spawn(self, conn: Conn, request: Request) -> None:
+        # One task per frame: pipelined requests to different shards
+        # proceed concurrently; the connection's lock serializes the writes.
+        self.spawn(self._answer(conn, request))
 
-    async def _handle_frame(self, conn: _Conn, line: bytes) -> None:
+    async def _answer(self, conn: Conn, request: Request) -> None:
         registry = get_registry()
-        try:
-            request = decode_request(line)
-        except ProtocolError as exc:
-            req_id = None
-            try:
-                obj = wire.loads(line)
-                if isinstance(obj, dict) and isinstance(obj.get("id"), (int, str)):
-                    req_id = obj["id"]
-            except ValueError:
-                pass
-            registry.inc("router.errors")
-            await self._send(conn, error_response(req_id, exc.code, str(exc)))
-            return
         registry.inc("router.requests")
         try:
             if request.op == "health":
@@ -503,7 +404,7 @@ class ReproRouter:
             response = error_response(
                 request.id, INTERNAL, f"{type(exc).__name__}: {exc}"
             )
-        await self._send(conn, response)
+        await self.send(conn, response)
 
     # ------------------------------------------------------------------
     # routing
@@ -662,7 +563,6 @@ class ReproRouter:
     async def _merged_stats(self) -> dict:
         payloads = await self._fanout("stats", {"full": True})
         merged, shards = self._merge_worker_registries(payloads)
-        snap = merged.snapshot()
         gauges = {"queue_depth": 0, "queue_capacity": 0, "inflight_groups": 0}
         cache = {"size": 0, "capacity": 0}
         for entry in shards:
@@ -687,15 +587,7 @@ class ReproRouter:
             "draining": self._draining,
             **gauges,
             "index_cache": cache,
-            "counters": {
-                k: v
-                for k, v in snap["counters"].items()
-                if k.startswith(("service.", "kernels."))
-            },
-            "op_timers": {
-                k: v for k, v in snap["timers"].items() if k.startswith("service.op.")
-            },
-            "latency_ms": snap["histograms"].get("service.latency_ms"),
+            **stats_view(merged.snapshot()),
             "router": {
                 "workers": len(self._clients),
                 "restarts": self.supervisor.restarts,
@@ -709,10 +601,7 @@ class ReproRouter:
         payloads = await self._fanout("stats", {"full": True})
         merged, _ = self._merge_worker_registries(payloads)
         merged.merge(get_registry().snapshot())  # + router.*/client.* counters
-        return {
-            "content_type": "text/plain; version=0.0.4; charset=utf-8",
-            "text": to_prometheus(merged.snapshot()),
-        }
+        return metrics_result(merged.snapshot())
 
     # ------------------------------------------------------------------
     # control
@@ -742,22 +631,8 @@ class ReproRouter:
             {"restarted": targets, "duration_s": round(perf_counter() - start, 3)},
         )
 
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    async def _send(self, conn: _Conn, obj: Mapping[str, Any]) -> None:
-        data = encode_response(obj)
-        try:
-            async with conn.lock:
-                if conn.writer.is_closing():
-                    return
-                conn.writer.write(data)
-                await conn.writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            get_registry().inc("router.responses.dropped")
 
-
-class ShardedTier:
+class ShardedTier(EndpointThread):
     """Router + workers on a background thread — the embedding tests and
     benchmarks use (the process-level analogue of
     :class:`~repro.service.server.ServerThread`).
@@ -779,86 +654,17 @@ class ShardedTier:
         worker_config: "Mapping[str, Any] | None" = None,
         **router_kwargs: Any,
     ) -> None:
-        self._supervisor = ShardSupervisor(workers, worker_config=worker_config)
-        self._host = host
-        self._port = port
-        self._socket_path = socket_path
-        self._router_kwargs = router_kwargs
-        self._router: ReproRouter | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._error: BaseException | None = None
-
-    def start(self) -> "ShardedTier":
-        self._supervisor.start()  # workers first; the router binds after
-        self._thread = threading.Thread(
-            target=self._run, name="repro-router", daemon=True
+        self.supervisor = ShardSupervisor(workers, worker_config=worker_config)
+        super().__init__(
+            lambda: ReproRouter(
+                self.supervisor,
+                host=host,
+                port=port,
+                socket_path=socket_path,
+                **router_kwargs,
+            ),
+            name="repro-router",
         )
-        self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            self._supervisor.stop()
-            raise RuntimeError("router thread did not start within 30s")
-        if self._error is not None:
-            self._supervisor.stop()
-            raise RuntimeError(f"router failed to start: {self._error!r}")
-        return self
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # noqa: BLE001 - surfaced via start()/stop()
-            self._error = exc
-        finally:
-            self._ready.set()
-
-    async def _amain(self) -> None:
-        router = ReproRouter(
-            self._supervisor,
-            host=self._host,
-            port=self._port,
-            socket_path=self._socket_path,
-            **self._router_kwargs,
-        )
-        await router.start()
-        self._router = router
-        self._loop = asyncio.get_running_loop()
-        self._ready.set()
-        await router.wait_drained()
-
-    @property
-    def router(self) -> ReproRouter:
-        assert self._router is not None
-        return self._router
-
-    @property
-    def supervisor(self) -> ShardSupervisor:
-        return self._supervisor
-
-    @property
-    def address(self) -> "tuple[str, int] | str":
-        return self.router.address
-
-    def stop(self, timeout: float = 60.0) -> None:
-        """Gracefully drain the router (which drains the workers too)."""
-        if (
-            self._thread is not None
-            and self._thread.is_alive()
-            and self._loop is not None
-            and self._router is not None
-        ):
-            self._loop.call_soon_threadsafe(self._router.begin_drain)
-        if self._thread is not None:
-            self._thread.join(timeout)
-            if self._thread.is_alive():
-                raise RuntimeError("router thread did not drain within timeout")
-        self._supervisor.stop()  # no-op after a clean drain
-
-    def __enter__(self) -> "ShardedTier":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
 
 def run_sharded(
@@ -876,50 +682,16 @@ def run_sharded(
     graceful drain completes.  Returns 0; 2 when the router address cannot
     be bound (checked *before* paying the worker spawns); 1 when a worker
     fails to come up."""
-    supervisor = ShardSupervisor(workers, worker_config=worker_config)
     router = ReproRouter(
-        supervisor,
+        ShardSupervisor(workers, worker_config=worker_config),
         host=host,
         port=port,
         socket_path=socket_path,
         vnodes=vnodes,
         manifest_path=manifest_path,
     )
-
-    async def _main() -> int:
-        try:
-            await router.start()
-        except OSError as exc:
-            if exc.errno in BIND_ERRNOS:
-                print(
-                    format_bind_error(router.requested_endpoint, exc),
-                    file=sys.stderr,
-                    flush=True,
-                )
-                return 2
-            raise
-        loop = asyncio.get_running_loop()
-        try:
-            await loop.run_in_executor(None, supervisor.start)
-        except Exception as exc:  # noqa: BLE001 - spawn/readiness failure
-            print(f"repro serve: worker startup failed: {exc}", file=sys.stderr)
-            for srv in router._servers:
-                srv.close()
-            supervisor.stop()
-            return 1
-        if handle_signals:
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, router.begin_drain)
-                except NotImplementedError:  # pragma: no cover - non-POSIX
-                    pass
-        print(
-            f"repro service listening on {router.endpoint} "
-            f"({workers} workers, digest-affinity routing)",
-            file=sys.stderr,
-            flush=True,
-        )
-        await router.wait_drained()
-        return 0
-
-    return asyncio.run(_main())
+    try:
+        return run_endpoint(router, handle_signals=handle_signals)
+    except ShardStartError as exc:
+        print(f"repro serve: worker startup failed: {exc}", file=sys.stderr)
+        return 1

@@ -235,6 +235,150 @@ class TestEndToEnd:
         finally:
             server.stop()
 
+    def test_stop_sends_the_ack_of_a_running_submit(self, tmp_path):
+        """A running ``campaign.result`` holds up only its own connection,
+        and stopping the server meanwhile still sends its ack: a worker
+        exits on the final ack instead of retrying against a vanished
+        coordinator."""
+        coord = CampaignCoordinator.create(SPEC, tmp_path / "c.jsonl")
+        grant = coord.lease("w0")
+        unit = WorkUnit.from_dict(grant["unit"])
+        result = run_suite(
+            unit_graphs(SPEC, unit), None, seed=SPEC.seed, on_error="record"
+        )
+        from repro.experiments.persistence import result_to_dict
+
+        running, release = threading.Event(), threading.Event()
+        submit = coord.submit
+
+        def held_submit(*args):
+            running.set()
+            assert release.wait(10)
+            return submit(*args)
+
+        server = CampaignServer(coord, ("127.0.0.1", 0))
+        server.start()
+        coord.submit = held_submit
+        acks = []
+
+        def deliver():
+            with ServiceClient(server.bound_address, retries=0) as client:
+                acks.append(
+                    client.call(
+                        "campaign.result",
+                        {
+                            "worker": "w0",
+                            "unit_id": unit.unit_id,
+                            "digest": unit.digest,
+                            "results": [result_to_dict(r) for r in result],
+                            "failures": [],
+                        },
+                    )
+                )
+
+        delivery = threading.Thread(target=deliver)
+        delivery.start()
+        assert running.wait(10)
+        with ServiceClient(server.bound_address, retries=0, timeout=5.0) as other:
+            assert other.call("campaign.status")["completed"] == 0
+        stopping = threading.Thread(target=server.stop)
+        stopping.start()
+        time.sleep(0.1)  # the drain has begun and waits for the verb
+        release.set()
+        stopping.join(10)
+        delivery.join(10)
+        assert not stopping.is_alive() and not delivery.is_alive()
+        assert acks == [{"accepted": True, "duplicate": False, "done": False}]
+
+    @pytest.mark.parametrize("interrupted", [False, True])
+    def test_verb_that_never_returns_costs_one_line(
+        self, tmp_path, monkeypatch, capsys, interrupted
+    ):
+        """A verb still running when the stop bound runs out does not turn
+        ``repro campaign run|resume`` into a traceback: one line says so,
+        then the merge and its summary follow, or after Ctrl-C exit 130
+        with the resume hint as the last line."""
+        import argparse
+
+        from repro import cli
+        from repro.experiments.persistence import result_to_dict
+        from repro.service import endpoint
+
+        coord = CampaignCoordinator.create(SPEC, tmp_path / "c.jsonl")
+        while not coord.done:
+            unit = WorkUnit.from_dict(coord.lease("w0")["unit"])
+            result = run_suite(
+                unit_graphs(SPEC, unit), None, seed=SPEC.seed, on_error="record"
+            )
+            coord.submit(
+                "w0", unit.unit_id, unit.digest, [result_to_dict(r) for r in result], []
+            )
+        running, release = threading.Event(), threading.Event()
+        heartbeat = coord.heartbeat
+
+        def held_heartbeat(*args):
+            running.set()
+            release.wait(30)
+            return heartbeat(*args)
+
+        coord.heartbeat = held_heartbeat
+        servers, callers = [], []
+
+        def spawn_workers(n, address, jobs):
+            # in place of the local workers: one client whose verb never returns
+            def call():
+                with ServiceClient(address, retries=0, timeout=30.0) as client:
+                    client.call(
+                        "campaign.heartbeat", {"worker": "w0", "unit_id": "u00000"}
+                    )
+
+            callers.append(threading.Thread(target=call))
+            callers[0].start()
+            assert running.wait(10)
+            return []
+
+        def serve_until_done(server, poll=0.2, grace=0.0):
+            servers.append(server)
+            if interrupted:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_spawn_local_workers", spawn_workers)
+        monkeypatch.setattr(CampaignServer, "serve_until_done", serve_until_done)
+        monkeypatch.setattr(endpoint, "STOP_TIMEOUT_S", 0.5)
+        args = argparse.Namespace(
+            campaign_command="resume",
+            socket=None,
+            host="127.0.0.1",
+            port=0,
+            local_workers=1,
+            jobs=1,
+            lease_ttl=15.0,
+            save=None,
+        )
+        try:
+            rc = cli._campaign_serve(coord, args)
+        finally:
+            release.set()
+        callers[0].join(10)
+        servers[0]._thread.join(10)  # the drain completes once the verb does
+        assert not servers[0]._thread.is_alive()
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert "Traceback" not in err
+        assert [line for line in lines if "did not drain" in line] == [
+            "repro campaign resume: campaign-server did not drain in 0.5s"
+        ]
+        if interrupted:
+            assert rc == 130
+            assert [line for line in lines if "resume with" in line] == [lines[-1]]
+            assert lines[-1] == (
+                f"interrupted; resume with: repro campaign resume --journal "
+                f"{coord.journal.path}"
+            )
+        else:
+            assert rc == 0
+            assert "4/4 units merged" in out
+
 
 # ----------------------------------------------------------------------
 # lease semantics

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -24,7 +26,14 @@ from repro.generation.workloads import fork_join, gaussian_elimination
 from repro.schedulers.base import SCHEDULER_REGISTRY, get_scheduler
 from repro.service import ServerThread, ServiceClient, ServiceError
 from repro.service import server as server_module
-from repro.service.protocol import classify_result, schedule_result
+from repro.service.protocol import (
+    CAMPAIGN_OPS,
+    INLINE_OPS,
+    MAX_FRAME_BYTES,
+    QUEUED_OPS,
+    classify_result,
+    schedule_result,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +41,49 @@ def server():
     """One shared daemon for the read-only tests (port 0 = ephemeral)."""
     with ServerThread(port=0, threads=2) as st:
         yield st
+
+
+@pytest.fixture(scope="module")
+def coordinator(tmp_path_factory):
+    """One campaign coordinator of a two-unit campaign, for the tests that
+    run over every tier."""
+    from repro.campaign import CampaignCoordinator, CampaignServer, CampaignSpec
+
+    spec = CampaignSpec(
+        graphs_per_cell=2,
+        seed=1107,
+        n_tasks_range=(8, 10),
+        cells=((1, 2, (20, 100)),),
+        unit_size=1,
+    )
+    journal = tmp_path_factory.mktemp("campaign") / "c.jsonl"
+    srv = CampaignServer(CampaignCoordinator.create(spec, journal), ("127.0.0.1", 0))
+    srv.start()
+    yield srv
+    srv.stop()
+
+
+#: The ops each tier serves, and the tier named when another tier is asked.
+SERVED = {
+    "daemon": QUEUED_OPS | {"health", "stats", "metrics"},
+    "router": QUEUED_OPS | INLINE_OPS,
+    "coordinator": CAMPAIGN_OPS | {"health", "stats", "metrics"},
+}
+TIER_NAMES = {
+    "daemon": "a scheduling daemon (`repro serve`)",
+    "router": "the sharded router (`repro serve --workers N`)",
+    "coordinator": "a campaign coordinator (`repro campaign run`)",
+}
+
+
+@pytest.fixture(params=sorted(SERVED))
+def any_tier(request):
+    """``(tier, address)`` of the daemon, the sharded router and the
+    campaign coordinator in turn."""
+    if request.param == "coordinator":
+        return "coordinator", request.getfixturevalue("coordinator").bound_address
+    fixture = {"daemon": "server", "router": "tier"}[request.param]
+    return request.param, request.getfixturevalue(fixture).address
 
 
 @pytest.fixture
@@ -211,7 +263,7 @@ class TestBackoffJitter:
 class TestOversizedFrames:
     def test_server_responds_413_then_closes(self):
         with ServerThread(port=0, max_frame_bytes=4096) as st:
-            with socket.create_connection(st.address) as sock:
+            with socket.create_connection(st.address, timeout=10) as sock:
                 fh = sock.makefile("rwb")
                 fh.write(b'{"op": "health", "padding": "' + b"x" * 8192 + b'"}\n')
                 fh.flush()
@@ -220,6 +272,36 @@ class TestOversizedFrames:
                 assert resp["error"]["code"] == 413
                 # frame sync is lost after an overrun, so the server closes
                 assert fh.readline() == b""
+
+    def test_every_tier_answers_one_413_then_closes(self, any_tier):
+        _, address = any_tier
+        padding = b"x" * (MAX_FRAME_BYTES + 44)
+        with socket.create_connection(address, timeout=10) as sock:
+            fh = sock.makefile("rwb")
+            fh.write(b'{"op": "health", "padding": "' + padding + b'"}\n')
+            fh.flush()
+            resp = json.loads(fh.readline())
+            assert resp["ok"] is False
+            assert resp["error"]["code"] == 413
+            assert fh.readline() == b""
+
+
+class TestTierBoundaries:
+    def test_unserved_verbs_name_the_tier_that_serves_them(self, any_tier):
+        """Every tier answers each known verb it does not serve with a 400
+        naming the tier that does; the queued ops name the daemon, which the
+        router forwards them to."""
+        name, address = any_tier
+        known = QUEUED_OPS | INLINE_OPS | CAMPAIGN_OPS
+        home = {op: t for t in ("router", "coordinator", "daemon") for op in SERVED[t]}
+        unserved = sorted(known - SERVED[name])
+        assert unserved
+        with ServiceClient(address) as c:
+            for op in unserved:
+                with pytest.raises(ServiceError) as exc:
+                    c.call(op, {"worker": "w0"})
+                assert exc.value.code == 400
+                assert exc.value.message == f"{op} requires {TIER_NAMES[home[op]]}"
 
 
 class TestDeadlines:
@@ -748,6 +830,11 @@ class TestDrain:
         counters = payload["metrics"]["counters"]
         assert counters.get("service.requests", 0) >= 1
 
+    def test_unwritable_manifest_does_not_stop_the_drain(self, tmp_path):
+        st = ServerThread(port=0, manifest_path=str(tmp_path / "gone" / "m.json"))
+        st.start()
+        st.stop()  # raises if the drain never completes
+
 
 class TestUnixSocket:
     def test_round_trip_over_unix_socket(self, tmp_path, paper_example):
@@ -974,6 +1061,52 @@ class TestShardedTier:
                 c.call("control", {"action": "frobnicate"})
             assert exc.value.code == 400
 
+    def test_drain_sends_the_reply_of_a_forward_in_flight(self):
+        """Stopping the tier while a forward waits on its shard: the drain
+        waits for that forward, and its reply comes from the worker, which
+        is drained only afterwards."""
+        from repro.service.shard import ShardedTier
+
+        graph = fork_join(3)
+        expected = schedule_result(
+            "HLFET", graph, get_scheduler("HLFET").schedule(graph)
+        )
+        held, release = threading.Event(), threading.Event()
+        replies = []
+        t = ShardedTier(workers=1, worker_config={"threads": 1}).start()
+        shard = t.endpoint._clients[0]
+        call = shard.call
+
+        async def held_call(*args, **kwargs):
+            held.set()
+            while not release.is_set():
+                await asyncio.sleep(0.01)
+            return await call(*args, **kwargs)
+
+        shard.call = held_call
+
+        def ask():
+            with ServiceClient(t.address, retries=0, timeout=30.0) as c:
+                replies.append(c.schedule(graph, "HLFET"))
+
+        asking = threading.Thread(target=ask)
+        stopping = threading.Thread(target=t.stop)
+        try:
+            asking.start()
+            assert held.wait(10)
+            stopping.start()
+            time.sleep(0.5)
+            drain_waited = stopping.is_alive()
+        finally:
+            release.set()
+            asking.join(30)
+            if stopping.ident is None:
+                stopping.start()
+            stopping.join(30)
+        assert drain_waited  # stop() did not return while the forward ran
+        assert not stopping.is_alive()
+        assert [wire.dumps(r) for r in replies] == [wire.dumps(expected)]
+
 
 class TestShardRestart:
     def test_rolling_restart_under_traffic(self):
@@ -1044,6 +1177,34 @@ class TestBindErrors:
             handle_signals=False,
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_port_in_use_exits_2_campaign(self, server, tmp_path, command):
+        """`repro campaign run|resume` on an occupied port: exit 2 and one
+        line naming the address and how to continue the journal."""
+        host, port = server.address
+        journal = tmp_path / "c.jsonl"
+        if command == "resume":
+            from repro.campaign import CampaignCoordinator, CampaignSpec
+
+            CampaignCoordinator.create(CampaignSpec(graphs_per_cell=1), journal)
+            argv = ["campaign", "resume"]
+        else:
+            argv = ["campaign", "run", "--graphs-per-cell", "1"]
+        argv += ["--journal", str(journal), "--host", host, "--port", str(port)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = [line for line in proc.stderr.splitlines() if "cannot listen" in line]
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro campaign {command}: cannot listen on {host}:{port}")
+        assert lines[0].endswith(f"repro campaign resume --journal {journal}")
 
     def test_socket_path_in_use_exits_2(self, tmp_path):
         from repro.service.server import ReproServer, run_server
