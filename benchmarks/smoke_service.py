@@ -59,9 +59,10 @@ def check(cond: bool, message: str) -> None:
 
 
 def start_daemon(sock_path: str, manifest_path: str, *, threads: int) -> subprocess.Popen:
+    """The daemon in a session of its own (see :func:`stop_daemon`)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [
             sys.executable,
             "-m",
@@ -77,16 +78,35 @@ def start_daemon(sock_path: str, manifest_path: str, *, threads: int) -> subproc
         env=env,
         stderr=subprocess.PIPE,
         text=True,
+        start_new_session=True,
     )
+
+
+def wait_for_daemon(proc: subprocess.Popen) -> None:
     deadline = time.monotonic() + 20.0
     while time.monotonic() < deadline:
         line = proc.stderr.readline()
         if re.search(r"serving on ", line):
-            return proc
+            return
         if proc.poll() is not None:
             break
-    print("FAIL: daemon did not come up", file=sys.stderr)
-    sys.exit(1)
+    check(False, "daemon did not come up")
+
+
+def stop_daemon(proc: subprocess.Popen) -> None:
+    """SIGTERM the daemon (it drains), then SIGKILL whatever is left of
+    its process group."""
+    if proc.poll() is None:
+        proc.terminate()
+        try:
+            proc.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            pass
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the whole group has exited
+        pass
+    proc.wait()
 
 
 def scenario_mixed_load(sock_path: str) -> None:
@@ -223,20 +243,21 @@ def scenario_sigterm_drain(
 
 
 def main() -> int:
+    # a SIGTERM (a CI timeout, say) unwinds through the finally below
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory() as tmp:
         sock_path = str(Path(tmp) / "repro.sock")
         manifest_path = str(Path(tmp) / "serve_manifest.json")
         proc = start_daemon(sock_path, manifest_path, threads=2)
         try:
+            wait_for_daemon(proc)
             scenario_mixed_load(sock_path)
             scenario_byte_identity(sock_path)
             scenario_oversized_frame(sock_path)
             scenario_deadline_miss(sock_path)
             scenario_sigterm_drain(proc, sock_path, manifest_path)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
+            stop_daemon(proc)
     print("service smoke : all scenarios passed")
     return 0
 

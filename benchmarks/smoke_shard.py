@@ -60,9 +60,11 @@ def check(cond: bool, message: str) -> None:
 
 
 def start_tier(sock_path: str, manifest_path: str) -> subprocess.Popen:
+    """The router in a session of its own, so that :func:`stop_tier` can
+    reach its worker processes too."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [
             sys.executable,
             "-m",
@@ -80,17 +82,37 @@ def start_tier(sock_path: str, manifest_path: str) -> subprocess.Popen:
         env=env,
         stderr=subprocess.PIPE,
         text=True,
+        start_new_session=True,
     )
+
+
+def wait_for_tier(proc: subprocess.Popen) -> None:
     deadline = time.monotonic() + 60.0
     while time.monotonic() < deadline:
         line = proc.stderr.readline()
         if re.search(r"repro service listening on ", line):
             check("2 workers" in line, f"banner must name the workers: {line!r}")
-            return proc
+            return
         if proc.poll() is not None:
             break
-    print("FAIL: sharded tier did not come up", file=sys.stderr)
-    sys.exit(1)
+    check(False, "sharded tier did not come up")
+
+
+def stop_tier(proc: subprocess.Popen) -> None:
+    """SIGTERM the router (its drain stops the workers), then SIGKILL
+    whatever is left of its process group: workers of a killed router, and
+    multiprocessing's resource tracker, outlive it."""
+    if proc.poll() is None:
+        proc.terminate()
+        try:
+            proc.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            pass
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the whole group has exited
+        pass
+    proc.wait()
 
 
 def scenario_mixed_burst(sock_path: str) -> None:
@@ -256,11 +278,14 @@ def scenario_sigterm_drain(
 
 
 def main() -> int:
+    # a SIGTERM (a CI timeout, say) unwinds through the finally below
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory() as tmp:
         sock_path = str(Path(tmp) / "router.sock")
         manifest_path = str(Path(tmp) / "router_manifest.json")
         proc = start_tier(sock_path, manifest_path)
         try:
+            wait_for_tier(proc)
             scenario_mixed_burst(sock_path)
             scenario_byte_identity(sock_path)
             scenario_merged_stats(sock_path)
@@ -268,9 +293,7 @@ def main() -> int:
             scenario_rolling_restart(sock_path)
             scenario_sigterm_drain(proc, sock_path, manifest_path)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
+            stop_tier(proc)
     print("shard smoke   : all scenarios passed")
     return 0
 

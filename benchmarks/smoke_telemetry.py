@@ -53,9 +53,10 @@ def check(cond: bool, message: str) -> None:
 
 
 def start_daemon(sock_path: str, trace_path: str) -> subprocess.Popen:
+    """The daemon in a session of its own (see :func:`stop_daemon`)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [
             sys.executable,
             "-m",
@@ -71,16 +72,35 @@ def start_daemon(sock_path: str, trace_path: str) -> subprocess.Popen:
         env=env,
         stderr=subprocess.PIPE,
         text=True,
+        start_new_session=True,
     )
+
+
+def wait_for_daemon(proc: subprocess.Popen) -> None:
     deadline = time.monotonic() + 20.0
     while time.monotonic() < deadline:
         line = proc.stderr.readline()
         if re.search(r"serving on ", line):
-            return proc
+            return
         if proc.poll() is not None:
             break
-    print("FAIL: daemon did not come up", file=sys.stderr)
-    sys.exit(1)
+    check(False, "daemon did not come up")
+
+
+def stop_daemon(proc: subprocess.Popen) -> None:
+    """SIGTERM the daemon (it drains), then SIGKILL whatever is left of
+    its process group."""
+    if proc.poll() is None:
+        proc.terminate()
+        try:
+            proc.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            pass
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the whole group has exited
+        pass
+    proc.wait()
 
 
 def parse_prometheus(text: str) -> dict[str, float]:
@@ -200,11 +220,14 @@ def check_server_joined_trace(trace_path: str, trace_id: str) -> None:
 
 
 def main() -> int:
+    # a SIGTERM (a CI timeout, say) unwinds through the finally below
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory() as tmp:
         sock_path = str(Path(tmp) / "repro.sock")
         trace_path = str(Path(tmp) / "serve_trace.jsonl")
         proc = start_daemon(sock_path, trace_path)
         try:
+            wait_for_daemon(proc)
             scenario_metrics_exposition(sock_path)
             trace_id = scenario_distributed_trace(sock_path)
             scenario_top_once(sock_path)
@@ -213,9 +236,7 @@ def main() -> int:
             check(rc == 0, f"daemon must exit 0 after SIGTERM, got {rc}")
             check_server_joined_trace(trace_path, trace_id)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
+            stop_daemon(proc)
     print("telemetry smoke: all scenarios passed")
     return 0
 

@@ -437,16 +437,50 @@ class CampaignCoordinator:
             return SuiteResult(results, failures=failures)
 
 
+async def _on_daemon_thread(fn, *args):
+    """``fn(*args)`` on a daemon thread of its own, its result handed back
+    to the running loop.
+
+    The loop's default executor would do the same, but Python joins its
+    threads at interpreter exit, so a call that never returns would keep
+    the process alive after the endpoint gave up on it.
+    """
+    loop = asyncio.get_running_loop()
+    future = loop.create_future()
+
+    def settle(result, error) -> None:
+        if future.done():  # the awaiting task was cancelled
+            return
+        if error is None:
+            future.set_result(result)
+        else:
+            future.set_exception(error)
+
+    def run() -> None:
+        try:
+            result, error = fn(*args), None
+        except BaseException as exc:  # noqa: BLE001 - raised in the awaiter
+            result, error = None, exc
+        try:
+            loop.call_soon_threadsafe(settle, result, error)
+        except RuntimeError:  # the loop has closed: no one awaits it
+            pass
+
+    threading.Thread(target=run, name="campaign-verb", daemon=True).start()
+    return await future
+
+
 class CoordinatorEndpoint(Endpoint):
     """A coordinator's verbs on the endpoint core (run by
     :class:`CampaignServer`).
 
-    Every verb runs on a worker thread, off the event loop: a verb blocked
-    on the journal's fsync, or on the coordinator's lock behind one, holds
-    up only its own connection.  A reaper task expires leases every
-    ``lease_ttl / 4``, so a crashed worker's unit returns to the pool even
-    when no one calls ``campaign.lease``.  The coordinator's ``lease`` and
-    ``submit`` are looked up on each call.
+    Every verb runs on a daemon thread of its own, off the event loop: a
+    verb blocked on the journal's fsync, or on the coordinator's lock
+    behind one, holds up only its own connection, and a verb that never
+    returns does not keep the process from exiting.  A reaper task expires
+    leases every ``lease_ttl / 4``, so a crashed worker's unit returns to
+    the pool even when no one calls ``campaign.lease``.  The coordinator's
+    ``lease`` and ``submit`` are looked up on each call.
     """
 
     _log = get_logger("campaign")
@@ -478,14 +512,12 @@ class CoordinatorEndpoint(Endpoint):
 
     async def _reap(self) -> None:
         interval = max(0.05, self.coordinator.lease_ttl / 4.0)
-        loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(interval)
-            await loop.run_in_executor(None, self.coordinator.expire_leases)
+            await _on_daemon_thread(self.coordinator.expire_leases)
 
     async def _off_loop(self, conn: Conn, request: Request) -> dict:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._answer, request)
+        return await _on_daemon_thread(self._answer, request)
 
     def _answer(self, request: Request) -> dict:
         registry = get_registry()

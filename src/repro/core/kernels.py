@@ -597,9 +597,21 @@ class IndexedPool:
         1e-12 tie rule is not transitive, so these are a full scan's
         comparisons in a full scan's order.
         """
-        local, top_proc, top, second = arrival_bounds(
-            self.gi.pred_rows[i], self.finish, self.proc_of
+        return self.best_processor_from(
+            i,
+            arrival_bounds(self.gi.pred_rows[i], self.finish, self.proc_of),
+            insertion=insertion,
         )
+
+    def best_processor_from(
+        self, i: int, bounds: tuple, *, insertion: bool = False
+    ) -> tuple[int, float]:
+        """:meth:`best_processor` given task ``i``'s :func:`arrival_bounds`.
+
+        A ready task's predecessors never move, so a caller that ranks the
+        same ready task at many steps (ETF) computes its bounds once.
+        """
+        local, top_proc, top, second = bounds
         intervals = self._intervals
         n = len(intervals)
         duration = self.gi.weights[i]

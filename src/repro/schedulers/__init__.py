@@ -5,9 +5,16 @@ Paper heuristics: :class:`ClansScheduler` (graph decomposition),
 :class:`MHScheduler` and :class:`HuScheduler` (list scheduling).
 
 Baselines/extensions: :class:`SerialScheduler` (single processor),
-:class:`ETFScheduler` (earliest task first), :class:`LCScheduler` (linear
-clustering), :class:`EZScheduler` (Sarkar edge zeroing) and
-:class:`OptimalScheduler` (exhaustive, tiny graphs only).
+:class:`ETFScheduler` (earliest task first), :class:`DLSScheduler`
+(dynamic levels), :class:`HLFETScheduler` (highest level first),
+:class:`LCScheduler` (linear clustering), :class:`EZScheduler` (Sarkar
+edge zeroing) and :class:`OptimalScheduler` (exhaustive, tiny graphs
+only).
+
+The list schedulers (MCP, MH, HU, HLFET, ETF, DLS, and in
+:mod:`repro.topology` the topology MH and the one-port MH1P) are presets
+of one engine, :mod:`repro.schedulers.listsched`: a task order plus a
+placement rule.
 """
 
 from .adaptive import AdaptiveScheduler, DEFAULT_SELECTION_TABLE

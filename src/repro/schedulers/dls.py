@@ -6,25 +6,27 @@ of a ready task t on processor p is
     DL(t, p) = SL(t) - max(data_available(t, p), processor_free(p))
 
 where ``SL`` is the static (computation-only) b-level.  At every step the
-(task, processor) pair with the *largest* dynamic level is scheduled.
-Unlike ETF (which minimizes the start time and breaks ties by level), DLS
-trades the two off directly, which tends to keep critical tasks from being
+(task, processor) pair with the *largest* dynamic level is scheduled, ties
+to the earlier start, then the lower processor, then the lower id.  Unlike
+ETF (which minimizes the start time and breaks ties by level), DLS trades
+the two off directly, which tends to keep critical tasks from being
 displaced by merely-early ones.
 
-A ready task's predecessors are placed and never move, so its arrival
-facts (:func:`~repro.core.kernels.arrival_bounds`) are computed once, when
-it becomes ready; its start on any candidate is then O(1), and a step
-costs O(ready x P) instead of re-walking every in-edge per candidate.
+It is a preset of the greedy loop
+(:func:`~repro.schedulers.listsched.place_greedily`), which computes a
+ready task's arrival facts once, when it becomes ready; its start on any
+candidate is then O(1), and a step costs O(ready x P).
 """
 
 from __future__ import annotations
 
 from math import inf
 
-from ..core.kernels import IndexedPool, arrival_bounds, b_levels_arr, graph_index
+from ..core.kernels import IndexedPool, b_levels_arr, graph_index
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
 from .base import Scheduler, register
+from .listsched import place_greedily
 
 
 @register
@@ -42,18 +44,8 @@ class DLSScheduler(Scheduler):
         gi = graph_index(graph)
         static_level = b_levels_arr(graph, communication=False)
         pool = IndexedPool(gi, max_processors=self.max_processors)
-        indeg = gi.in_degree
-        pred_rows, succ_rows = gi.pred_rows, gi.succ_rows
-        finish, proc_of = pool.finish, pool.proc_of
-        n_sched_preds = [0] * gi.n
-        # ready task -> (local, top_proc, top, second) of its placed inputs
-        ready = {
-            i: arrival_bounds(pred_rows[i], finish, proc_of)
-            for i in range(gi.n)
-            if indeg[i] == 0
-        }
 
-        while ready:
+        def pick(ready: dict) -> tuple[int, int, float]:
             # candidate processors: all used, plus one fresh if allowed;
             # DLS only appends, so a processor is free once its last task is
             cands = [pool.avail(p) for p in range(pool.n_processors)]
@@ -77,16 +69,10 @@ class DLSScheduler(Scheduler):
                         start = free
                     if start < first:
                         on, first = proc, start
-                dl = static_level[i] - first
-                key = (-dl, first, on, i)
-                if best is None or key < best[0]:
-                    best = (key, i, on, first)
-            assert best is not None
-            _, i, proc, start = best
-            pool.place(i, proc, start)
-            del ready[i]
-            for j, _ in succ_rows[i]:
-                n_sched_preds[j] += 1
-                if n_sched_preds[j] == indeg[j]:
-                    ready[j] = arrival_bounds(pred_rows[j], finish, proc_of)
-        return pool.schedule
+                key = (-(static_level[i] - first), first, on, i)
+                if best is None or key < best:
+                    best = key
+            _, start, proc, i = best
+            return i, proc, start
+
+        return place_greedily(pool, pick)

@@ -2,9 +2,16 @@
 
 An extension beyond the paper's five heuristics (DESIGN.md section 8): at
 every step, among all *ready* tasks, schedule the (task, processor) pair
-with the globally earliest start time, breaking ties by the static b-level.
-ETF is the classic dynamic-priority counterpart to MH's static-priority list
-scheduling and provides a sixth comparator for the testbed.
+with the globally earliest start time, breaking ties by the static b-level
+(communication included), then by the lower id.  ETF is the classic
+dynamic-priority counterpart to MH's static-priority list scheduling and
+provides a sixth comparator for the testbed.
+
+It is a preset of the greedy loop
+(:func:`~repro.schedulers.listsched.place_greedily`): a ready task's
+arrival bounds are computed once, when it becomes ready, and each step
+reads them through MH's earliest-start processor scan,
+:meth:`~repro.core.kernels.IndexedPool.best_processor_from`.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from ..core.kernels import IndexedPool, b_levels_arr, graph_index
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
 from .base import Scheduler, register
+from .listsched import place_greedily
 
 
 @register
@@ -30,25 +38,16 @@ class ETFScheduler(Scheduler):
         gi = graph_index(graph)
         level = b_levels_arr(graph, communication=True)
         pool = IndexedPool(gi, max_processors=self.max_processors)
-        indeg = gi.in_degree
-        succ_rows = gi.succ_rows
-        n_sched_preds = [0] * gi.n
-        ready = {i for i in range(gi.n) if indeg[i] == 0}
 
-        while ready:
-            # Globally earliest (start, -level) over ready tasks, then id.
+        def pick(ready: dict) -> tuple[int, int, float]:
+            # globally earliest (start, -level) over ready tasks, then id
             best = None
-            for i in ready:
-                proc, start = pool.best_processor(i, insertion=False)
+            for i, bounds in ready.items():
+                proc, start = pool.best_processor_from(i, bounds)
                 key = (start, -level[i], i)
                 if best is None or key < best[0]:
-                    best = (key, i, proc, start)
-            assert best is not None
-            _, i, proc, start = best
-            pool.place(i, proc, start)
-            ready.remove(i)
-            for j, _ in succ_rows[i]:
-                n_sched_preds[j] += 1
-                if n_sched_preds[j] == indeg[j]:
-                    ready.add(j)
-        return pool.schedule
+                    best = key, proc
+            (start, _, i), proc = best
+            return i, proc, start
+
+        return place_greedily(pool, pick)

@@ -2,10 +2,11 @@
 
 Appendix A.4 / Figure 13 of the paper.  Tasks are prioritized by the
 classical Hu level (the communication-*free* bottom level) and released in a
-free list once all predecessors are scheduled.  Each task is assigned to the
-processor that is **free earliest** — the choice ignores where the task's
-input data lives, although the task's actual start time still waits for its
-messages to arrive.
+free list once all predecessors are scheduled; the free list's order is
+:func:`~repro.core.kernels.priority_topo_order_idx` on those levels, the
+order HLFET shares.  Each task is assigned to the processor that is **free
+earliest** — the choice ignores where the task's input data lives, although
+the task's actual start time still waits for its messages to arrive.
 
 With an unbounded processor pool that rule spreads tasks maximally: a fresh
 processor is free at time 0, so nearly every task lands on its own processor
@@ -17,12 +18,16 @@ efficiency (Tables 5/9).
 
 from __future__ import annotations
 
-import heapq
-
-from ..core.kernels import IndexedPool, b_levels_arr, graph_index
+from ..core.kernels import (
+    IndexedPool,
+    b_levels_arr,
+    graph_index,
+    priority_topo_order_idx,
+)
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
 from .base import Scheduler, register
+from .listsched import place_in_order
 
 
 @register
@@ -39,21 +44,11 @@ class HuScheduler(Scheduler):
     def _schedule(self, graph: TaskGraph) -> Schedule:
         gi = graph_index(graph)
         # Hu levels; ties break on the task id (insertion order).
-        level = b_levels_arr(graph, communication=False)
+        order = priority_topo_order_idx(gi, b_levels_arr(graph, communication=False))
         pool = IndexedPool(gi, max_processors=self.max_processors)
-        indeg = gi.in_degree
-        succ_rows = gi.succ_rows
-        n_sched_preds = [0] * gi.n
-        free = [(-level[i], i) for i in range(gi.n) if indeg[i] == 0]
-        heapq.heapify(free)
 
-        while free:
-            _, i = heapq.heappop(free)
+        def choose(i: int) -> tuple[int, float]:
             proc, _avail = pool.earliest_available_processor()
-            start = pool.est_append(i, proc)
-            pool.place(i, proc, start)
-            for j, _ in succ_rows[i]:
-                n_sched_preds[j] += 1
-                if n_sched_preds[j] == indeg[j]:
-                    heapq.heappush(free, (-level[j], j))
-        return pool.schedule
+            return proc, pool.est_append(i, proc)
+
+        return place_in_order(pool, order, choose)

@@ -12,7 +12,8 @@ Appendix A.2 / Figure 9 of the paper.  The heuristic:
    sinks before their predecessors; we follow the published MCP ordering —
    smallest ALAP first — which is also a topological order, see DESIGN.md.)
 3. places each task, in that order, on the processor (existing or fresh)
-   giving the earliest start time, with idle-slot insertion.
+   giving the earliest start time, with idle-slot insertion
+   (:func:`~repro.schedulers.listsched.place_in_order`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from ..core.schedule import Schedule
 from ..core.taskgraph import Task, TaskGraph
 from ..obs.metrics import get_registry
 from .base import Scheduler, register
+from .listsched import place_in_order
 
 
 @register
@@ -52,21 +54,26 @@ class MCPScheduler(Scheduler):
         pool = IndexedPool(gi, max_processors=self.max_processors)
         weights = gi.weights
         n_slot_insertions = 0
-        for i in order:
-            proc, start = pool.best_processor(i, insertion=self.insertion)
+
+        def choose(i: int) -> tuple[int, float]:
+            nonlocal n_slot_insertions
+            proc, start = pool.best_processor(i, insertion=True)
             if (
-                self.insertion
-                and proc < pool.n_processors
+                proc < pool.n_processors
                 and start + weights[i] <= pool.avail(proc) - 1e-12
             ):
                 # placed into an idle gap, not appended after the last task
                 n_slot_insertions += 1
-            pool.place(i, proc, start)
+            return proc, start
+
+        schedule = place_in_order(
+            pool, order, choose if self.insertion else pool.best_processor
+        )
         registry = get_registry()
         if self.insertion:
             registry.inc("mcp.insertion_attempts", len(order))
         registry.inc("mcp.slot_insertions", n_slot_insertions)
-        return pool.schedule
+        return schedule
 
     @staticmethod
     def _priority_order_ids(graph: TaskGraph, gi: GraphIndex) -> list[int]:

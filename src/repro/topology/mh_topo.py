@@ -3,13 +3,17 @@
 Appendix A.3: MH "fits the PDG to various network topologies in an attempt
 to minimize communication delays … by placing communicating tasks close
 together."  This variant implements that behaviour on the
-:mod:`repro.topology.networks` models:
+:mod:`repro.topology.networks` models, as a preset of the list-scheduling
+engine (:func:`~repro.schedulers.listsched.place_in_order`):
 
-* priority = communication-inclusive level, exactly as uniform MH;
-* each free task is allocated to the topology processor where it *starts
+* priority and order are uniform MH's: communication-inclusive levels,
+  placed in MH's waves (:func:`~repro.schedulers.listsched.wave_order`);
+* each task is allocated to the topology processor where it *starts
   earliest*, with message arrivals scaled by hop distance — so consumers
-  gravitate toward their producers' neighbourhoods;
-* the processor pool is the fixed network (no growth).
+  gravitate toward their producers' neighbourhoods; ties go to the lower
+  processor unless a later one starts more than 1e-12 earlier;
+* the processor pool is the fixed network (no growth), every processor
+  open from the start.
 
 On a :class:`~repro.topology.networks.FullyConnected` network of p
 processors this reduces to ``MHScheduler(max_processors=p)`` (every
@@ -18,15 +22,27 @@ distance is one hop), which the tests assert.
 
 from __future__ import annotations
 
-import heapq
+from math import inf
 
-from ..core.analysis import b_levels_view
+from ..core.kernels import GraphIndex, IndexedPool, b_levels_arr, graph_index
 from ..core.schedule import Schedule
-from ..core.taskgraph import Task, TaskGraph
+from ..core.taskgraph import TaskGraph
 from ..schedulers.base import Scheduler
+from ..schedulers.listsched import place_in_order, wave_order
 from .networks import Topology
 
 __all__ = ["TopologyMHScheduler"]
+
+
+class _NetworkPool(IndexedPool):
+    """The pool of a fixed network: every processor is open from the
+    start, so any of them may take the next task."""
+
+    __slots__ = ()
+
+    def __init__(self, gi: GraphIndex, n_processors: int) -> None:
+        super().__init__(gi, max_processors=n_processors)
+        self._intervals = [[] for _ in range(n_processors)]
 
 
 class TopologyMHScheduler(Scheduler):
@@ -43,43 +59,23 @@ class TopologyMHScheduler(Scheduler):
         self.name = f"MH@{type(topology).__name__}{topology.n_processors}"
 
     def _schedule(self, graph: TaskGraph) -> Schedule:
-        topo = self.topology
-        level = b_levels_view(graph, communication=True)
-        seq = {t: i for i, t in enumerate(graph.tasks())}
+        gi = graph_index(graph)
+        distance = self.topology.distance
+        pool = _NetworkPool(gi, self.topology.n_processors)
+        finish, proc_of = pool.finish, pool.proc_of
+        pred_rows = gi.pred_rows
 
-        schedule = Schedule()
-        proc_of: dict[Task, int] = {}
-        proc_free = [0.0] * topo.n_processors
+        def choose(i: int) -> tuple[int, float]:
+            best_p, best_start = 0, inf
+            for p in range(pool.n_processors):
+                start = pool.avail(p)
+                for j, c in pred_rows[i]:
+                    arrival = finish[j] + c * distance(proc_of[j], p)
+                    if arrival > start:
+                        start = arrival
+                if start < best_start - 1e-12:
+                    best_p, best_start = p, start
+            return best_p, best_start
 
-        n_sched_preds = {t: 0 for t in graph.tasks()}
-        free = [(-level[t], seq[t], t) for t in graph.tasks() if graph.in_degree(t) == 0]
-        heapq.heapify(free)
-        events: list[tuple[float, int, Task]] = []
-        n_done = 0
-
-        while n_done < graph.n_tasks:
-            while free:
-                _, _, task = heapq.heappop(free)
-                best_p, best_start = 0, float("inf")
-                for p in range(topo.n_processors):
-                    start = proc_free[p]
-                    for pred, c in graph.in_edges(task).items():
-                        arrival = schedule.finish(pred) + c * topo.distance(
-                            proc_of[pred], p
-                        )
-                        if arrival > start:
-                            start = arrival
-                    if start < best_start - 1e-12:
-                        best_p, best_start = p, start
-                schedule.place(task, best_p, best_start, graph.weight(task))
-                proc_of[task] = best_p
-                proc_free[best_p] = schedule.finish(task)
-                heapq.heappush(events, (schedule.finish(task), seq[task], task))
-                n_done += 1
-            while events:
-                _, _, task = heapq.heappop(events)
-                for succ in graph.successors(task):
-                    n_sched_preds[succ] += 1
-                    if n_sched_preds[succ] == graph.in_degree(succ):
-                        heapq.heappush(free, (-level[succ], seq[succ], succ))
-        return schedule
+        order = wave_order(gi, b_levels_arr(graph, communication=True))
+        return place_in_order(pool, order, choose)

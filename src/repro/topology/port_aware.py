@@ -7,18 +7,28 @@ whose placement rule evaluates, for each candidate processor, the true
 one-port start time — reserving the sender/receiver ports for every fetch
 it would trigger — and commits the reservations of the chosen candidate.
 
+It is a preset of the list-scheduling engine
+(:func:`~repro.schedulers.listsched.place_in_order`): MH's priority (the
+communication-inclusive level) in the free-list order
+:func:`~repro.core.kernels.priority_topo_order_idx` gives, with the
+one-port start as its processor rule.
+
 The benchmark compares it against re-timed contention-blind heuristics:
 planning with the real model should recover much of the penalty.
 """
 
 from __future__ import annotations
 
-import heapq
-
-from ..core.analysis import b_levels_view
 from ..core.exceptions import GraphError
+from ..core.kernels import (
+    IndexedPool,
+    b_levels_arr,
+    graph_index,
+    priority_topo_order_idx,
+)
 from ..core.schedule import Schedule
 from ..core.taskgraph import Task, TaskGraph
+from ..schedulers.listsched import place_in_order
 
 __all__ = ["PortAwareScheduler"]
 
@@ -39,75 +49,55 @@ class PortAwareScheduler:
         if graph.n_tasks == 0:
             raise GraphError("MH1P: cannot schedule an empty graph")
         graph.validate()
-        level = b_levels_view(graph, communication=True)
-        seq = {t: i for i, t in enumerate(graph.tasks())}
-
-        schedule = Schedule()
-        proc_of: dict[Task, int] = {}
-        proc_free: list[float] = []
+        gi = graph_index(graph)
+        tasks = gi.tasks
+        pool = IndexedPool(gi, max_processors=self.max_processors)
+        finish, proc_of = pool.finish, pool.proc_of
         send_free: list[float] = []
         recv_free: list[float] = []
-        self.last_transfers = []
+        transfers = self.last_transfers = []
 
-        def plan(task: Task, proc: int):
-            """(start, port reservations) for placing ``task`` on ``proc``."""
-            fresh = proc == len(proc_free)
-            start = 0.0 if fresh else proc_free[proc]
+        def plan(preds: list[tuple[int, float]], proc: int):
+            """(start, proc, receive cursor, port reservations) on ``proc``."""
+            fresh = proc == pool.n_processors
+            start = pool.avail(proc)
             recv_cursor = 0.0 if fresh else recv_free[proc]
             reservations = []  # (src_proc, xfer_start, xfer_finish, pred)
-            # fetch in deterministic pred order (heaviest message first —
-            # long transfers should not wait behind short ones)
-            preds = sorted(
-                graph.in_edges(task).items(), key=lambda kv: (-kv[1], seq[kv[0]])
-            )
-            send_cursor = dict()  # local view of send ports
-            for pred, c in preds:
-                q = proc_of[pred]
+            send_cursor: dict[int, float] = {}  # local view of send ports
+            for j, c in preds:
+                q = proc_of[j]
                 if q == proc or c == 0.0:
-                    arrival = schedule.finish(pred)
+                    arrival = finish[j]
                 else:
                     s_free = send_cursor.get(q, send_free[q])
-                    xfer = max(schedule.finish(pred), s_free, recv_cursor)
+                    xfer = max(finish[j], s_free, recv_cursor)
                     arrival = xfer + c
                     send_cursor[q] = arrival
                     recv_cursor = arrival
-                    reservations.append((q, xfer, arrival, pred))
+                    reservations.append((q, xfer, arrival, j))
                 if arrival > start:
                     start = arrival
-            return start, recv_cursor, reservations
+            return start, proc, recv_cursor, reservations
 
-        n_sched_preds = {t: 0 for t in graph.tasks()}
-        free = [(-level[t], seq[t], t) for t in graph.tasks() if graph.in_degree(t) == 0]
-        heapq.heapify(free)
-        while free:
-            _, _, task = heapq.heappop(free)
-            can_grow = (
-                self.max_processors is None or len(proc_free) < self.max_processors
+        def choose(i: int) -> tuple[int, float]:
+            """The earliest one-port start, ties to the lower processor;
+            its port reservations are committed here."""
+            # fetch in deterministic pred order (heaviest message first —
+            # long transfers should not wait behind short ones)
+            preds = sorted(gi.pred_rows[i], key=lambda jc: (-jc[1], jc[0]))
+            n = pool.n_processors
+            # plans differ by processor, so only (start, proc) is compared
+            start, proc, recv_cursor, reservations = min(
+                plan(preds, p) for p in range(n + 1 if pool.can_grow else n)
             )
-            candidates = list(range(len(proc_free))) + (
-                [len(proc_free)] if can_grow or not proc_free else []
-            )
-            best = None
-            for proc in candidates:
-                start, recv_cursor, reservations = plan(task, proc)
-                key = (start, proc)
-                if best is None or key < best[0]:
-                    best = (key, proc, start, recv_cursor, reservations)
-            assert best is not None
-            _, proc, start, recv_cursor, reservations = best
-            if proc == len(proc_free):
-                proc_free.append(0.0)
+            if proc == n:
                 send_free.append(0.0)
                 recv_free.append(0.0)
-            for q, xfer, arrival, pred in reservations:
+            for q, xfer, arrival, j in reservations:
                 send_free[q] = max(send_free[q], arrival)
-                self.last_transfers.append((pred, task, xfer, arrival))
+                transfers.append((tasks[j], tasks[i], xfer, arrival))
             recv_free[proc] = max(recv_free[proc], recv_cursor)
-            schedule.place(task, proc, start, graph.weight(task))
-            proc_free[proc] = schedule.finish(task)
-            proc_of[task] = proc
-            for succ in graph.successors(task):
-                n_sched_preds[succ] += 1
-                if n_sched_preds[succ] == graph.in_degree(succ):
-                    heapq.heappush(free, (-level[succ], seq[succ], succ))
-        return schedule
+            return proc, start
+
+        order = priority_topo_order_idx(gi, b_levels_arr(graph, communication=True))
+        return place_in_order(pool, order, choose)

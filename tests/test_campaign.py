@@ -379,6 +379,68 @@ class TestEndToEnd:
             assert rc == 0
             assert "4/4 units merged" in out
 
+    def test_verb_that_never_returns_does_not_keep_the_process(self, tmp_path):
+        """The same stuck verb in a process of its own: after the "did not
+        drain" line, ``repro campaign resume`` merges and the process
+        exits, without waiting for the verb."""
+        script = f"""
+import argparse, sys, threading
+from repro import cli
+from repro.campaign import CampaignCoordinator, CampaignServer, CampaignSpec
+from repro.campaign import WorkUnit, unit_graphs
+from repro.experiments.persistence import result_to_dict
+from repro.experiments.runner import run_suite
+from repro.service import endpoint
+from repro.service.client import ServiceClient
+
+spec = CampaignSpec.from_dict({SPEC.to_dict()!r})
+coord = CampaignCoordinator.create(spec, {str(tmp_path / "c.jsonl")!r})
+while not coord.done:
+    unit = WorkUnit.from_dict(coord.lease("w0")["unit"])
+    result = run_suite(unit_graphs(spec, unit), None, seed=spec.seed, on_error="record")
+    coord.submit("w0", unit.unit_id, unit.digest, [result_to_dict(r) for r in result], [])
+running, never = threading.Event(), threading.Event()
+heartbeat = coord.heartbeat
+
+def held_heartbeat(*args):
+    running.set()
+    never.wait(30)
+    return heartbeat(*args)
+
+coord.heartbeat = held_heartbeat
+
+def spawn_workers(n, address, jobs):
+    def call():
+        with ServiceClient(address, retries=0, timeout=60.0) as client:
+            client.call("campaign.heartbeat", {{"worker": "w0", "unit_id": "u00000"}})
+
+    threading.Thread(target=call, daemon=True).start()
+    assert running.wait(10)
+    return []
+
+cli._spawn_local_workers = spawn_workers
+CampaignServer.serve_until_done = lambda server, poll=0.2, grace=0.0: None
+endpoint.STOP_TIMEOUT_S = 0.5
+args = argparse.Namespace(
+    campaign_command="resume", socket=None, host="127.0.0.1", port=0,
+    local_workers=1, jobs=1, lease_ttl=15.0, save=None,
+)
+sys.exit(cli._campaign_serve(coord, args))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert time.monotonic() - started < 10
+        assert proc.returncode == 0, proc.stderr
+        assert "did not drain in 0.5s" in proc.stderr
+        assert "4/4 units merged" in proc.stdout
+
 
 # ----------------------------------------------------------------------
 # lease semantics

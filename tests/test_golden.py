@@ -11,9 +11,11 @@ improvement), regenerate the constants with::
 sha256 digests pin whole outputs byte for byte: the generated Table-1
 graphs at two master seeds; every registered scheduler's schedules over
 the default-seed Table-1 suite and over a seeded corpus of tiny graphs,
-plus the bounded and ablation variants; the clan trees, levels and
-critical paths of that suite; and the result of the fixed-seed advbench
-hunt (best instance digest plus the op log that rebuilds it).  A
+plus the bounded and ablation variants; the machine-specific list
+schedulers (topology MH, MH1P, HEFT, HMH, CPOP) on that suite; the clan
+trees, levels and critical paths of that suite; and the result of the
+fixed-seed advbench hunt (best instance digest plus the op log that
+rebuilds it).  A
 performance change or a refactor must leave them unchanged; regenerate
 them with ``suite_graphs_digest()``, ``schedules_digest()``,
 ``analysis_digest()`` and ``hunt_digest()`` only for an intended change
@@ -38,7 +40,14 @@ from repro.core.wire import dumps, graph_to_wire
 from repro.experiments.advbench import BASE_SPEC, OBJECTIVE, PAIR, POLICY, SEED
 from repro.generation.random_dag import generate_pdg
 from repro.generation.suites import generate_suite
+from repro.hetero import (
+    CPOPScheduler,
+    HEFTScheduler,
+    HeterogeneousMachine,
+    HeteroListScheduler,
+)
 from repro.schedulers import SCHEDULER_REGISTRY
+from repro.topology import Mesh2D, PortAwareScheduler, Ring, Star, TopologyMHScheduler
 
 #: (band, anchor, seed) -> {heuristic: makespan}; values were produced by
 #: this library at v1.0.0 and every entry was validated against the
@@ -168,6 +177,31 @@ VARIANTS = {
     "MCP(insertion=False)": ("MCP", {"insertion": False}),
     "DSC(use_ct2=False)": ("DSC", {"use_ct2": False}),
 }
+#: The same digest over ``_suite_graphs()`` for the machine-specific list
+#: schedulers, which the registry does not hold: the topology MH on three
+#: networks, the one-port MH1P, and HEFT, HMH and CPOP on one
+#: heterogeneous machine.  Keys name an entry of ``MACHINE_SCHEDULERS``.
+MACHINE_SCHEDULES_SHA256 = {
+    "CPOP": "1c5405759375a2a17cc22b2b5ee493e0b12297921ed9663f5ae1851a70028304",
+    "HEFT": "f2793d106172d2339c8007f666fcbc221ed15609a7d912ffe762e3fdf3d12d82",
+    "HMH": "76cc68478a7affba5eab02b042308a43b7068b8de22b9d5b8d1f80d6c1bf9208",
+    "MH1P": "51472110de4cbb5e7566549076b28bff89c43af8827bb0e9b85b1c27c2c68d39",
+    "MH1P(max_processors=3)": "438fcc732a3a364e723b0d5286725c512c13a8cb2547568ab6941797d8308954",
+    "MH@Mesh2D(2, 4)": "21e8064a6215bef7575e56555258de6c7edc04620cdb2e5195a2e0da9c757812",
+    "MH@Ring(8)": "2451ccc2f54301ad6be8aadfb65798e2080d1f862708d1e8d145fb51ca9857bc",
+    "MH@Star(8)": "01a58accf5915841f55f6b4916d5de70c160ef6076728492ef51a98723acdf3b",
+}
+_MACHINE = HeterogeneousMachine([1, 1, 2, 4])
+MACHINE_SCHEDULERS = {
+    "CPOP": lambda: CPOPScheduler(_MACHINE),
+    "HEFT": lambda: HEFTScheduler(_MACHINE),
+    "HMH": lambda: HeteroListScheduler(_MACHINE),
+    "MH1P": PortAwareScheduler,
+    "MH1P(max_processors=3)": lambda: PortAwareScheduler(max_processors=3),
+    "MH@Mesh2D(2, 4)": lambda: TopologyMHScheduler(Mesh2D(2, 4)),
+    "MH@Ring(8)": lambda: TopologyMHScheduler(Ring(8)),
+    "MH@Star(8)": lambda: TopologyMHScheduler(Star(8)),
+}
 #: sha256 of the default-seed suite's analyses, one line per graph: the
 #: clan parse tree, and t-levels, b-levels, ALAP times and the critical
 #: path with communication on (``comm``) and off (``no_comm``).  The level
@@ -279,6 +313,12 @@ class TestGoldenDigests:
         if key in SLOW:
             graphs = graphs[:SLOW_PREFIX]
         assert schedules_digest(key, graphs) == SUITE_SCHEDULES_SHA256[key]
+
+    @pytest.mark.parametrize("key", sorted(MACHINE_SCHEDULES_SHA256))
+    def test_machine_schedules(self, key):
+        scheduler = MACHINE_SCHEDULERS[key]()
+        got = _digest(scheduler.schedule(g).to_dict() for g in _suite_graphs())
+        assert got == MACHINE_SCHEDULES_SHA256[key]
 
     @pytest.mark.parametrize("key", sorted(TINY_SCHEDULES_SHA256))
     def test_tiny_schedules(self, key):
