@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Machine, simulate_clustering
 from repro.experiments.runner import PAPER_HEURISTIC_ORDER
 from repro.generation.suites import SuiteCell, generate_suite
 from repro.schedulers import get_scheduler
 from repro.schedulers.improve import LocalSearchImprover
-from repro.topology.contention import simulate_one_port
+
+ONE_PORT = Machine(one_port=True)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +45,7 @@ def _contention_penalty(graphs):
             s = sched.schedule(g)
             free += s.makespan
             assignment = {p.task: p.processor for p in s}
-            port += simulate_one_port(g, assignment).makespan
+            port += simulate_clustering(g, assignment, machine=ONE_PORT).makespan
         out[name] = (free / len(graphs), port / len(graphs))
     return out
 
@@ -81,8 +83,8 @@ def test_port_aware_planner(benchmark, graphs, emit):
             aware = PortAwareScheduler().schedule(g)
             aware_total += aware.makespan
             blind = get_scheduler("MH").schedule(g)
-            blind_total += simulate_one_port(
-                g, {p.task: p.processor for p in blind}
+            blind_total += simulate_clustering(
+                g, {p.task: p.processor for p in blind}, machine=ONE_PORT
             ).makespan
         return aware_total / len(graphs), blind_total / len(graphs)
 

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Machine
 from repro.generation.suites import SuiteCell, generate_suite
-from repro.hetero import HEFTScheduler, HeteroListScheduler, HeterogeneousMachine
+from repro.hetero import HEFTScheduler, HeteroListScheduler
 
 #: equal total speed (4.0), increasing skew
 MACHINES = {
-    "uniform [1,1,1,1]": HeterogeneousMachine([1, 1, 1, 1]),
-    "mild    [.5,1,1,1.5]": HeterogeneousMachine([0.5, 1, 1, 1.5]),
-    "skewed  [.5,.5,1,2]": HeterogeneousMachine([0.5, 0.5, 1, 2]),
-    "extreme [.25,.25,.5,3]": HeterogeneousMachine([0.25, 0.25, 0.5, 3]),
+    "uniform [1,1,1,1]": Machine([1, 1, 1, 1]),
+    "mild    [.5,1,1,1.5]": Machine([0.5, 1, 1, 1.5]),
+    "skewed  [.5,.5,1,2]": Machine([0.5, 0.5, 1, 2]),
+    "extreme [.25,.25,.5,3]": Machine([0.25, 0.25, 0.5, 3]),
 }
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Machine
 from repro.generation.suites import SuiteCell, generate_suite
 from repro.topology import (
     FullyConnected,
@@ -43,7 +44,7 @@ def graphs():
 def _mean_speedups(graphs):
     out = {}
     for net in NETWORKS:
-        sched = TopologyMHScheduler(net)
+        sched = TopologyMHScheduler(Machine(network=net))
         total = 0.0
         for g in graphs:
             s = sched.schedule(g)

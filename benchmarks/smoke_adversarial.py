@@ -22,6 +22,13 @@ One continuous scenario over a temporary instance store:
 4. The promoted instance is consumed by ``run_suite`` exactly like any
    random graph: batch-on, batch-off, and ``jobs=2`` parallel runs must
    serialize **byte-identically**.
+5. A fixed-seed hunt for a graph on which CLANS retards: the ratio of its
+   makespan to the serial one, from the advbench base cell moved to band 0
+   (the finest grain, where retardation is likeliest), search seed 1, 300
+   steps (about 2.5 s).  It peaks at 1 + 9e-16, rounding.  A ratio above
+   ``GraphResult.retarded``'s 1 + 1e-12 would be a counterexample to the
+   Table-2 CLANS column ("CLANS never retards"), so the smoke fails and
+   prints the instance's replayable recipe (base spec plus op log).
 
 Exits 0 when every assertion holds, 1 with a diagnostic otherwise.
 """
@@ -37,7 +44,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.adversarial.objective import make_objective
+from repro.adversarial.search import hunt
+from repro.adversarial.store import build_base_graph
 from repro.core.batch import use_batch
+from repro.experiments.advbench import BASE_SPEC
 from repro.experiments.persistence import save_results
 from repro.experiments.runner import run_suite
 from repro.generation.suites import adversarial_suite
@@ -46,6 +57,12 @@ SEED = 19940815
 STEPS = 200
 NEIGHBORHOOD = 4
 GAP_FLOOR = 2.0  # matches advbench.QUICK_FLOORS["best_gap"]
+#: The CLANS retardation hunt: base cell, search seed, steps, and the
+#: tolerance above which ``GraphResult.retarded`` calls a schedule retarded.
+RETARD_SPEC = {**BASE_SPEC, "band": 0}
+RETARD_SEED = 1
+RETARD_STEPS = 300
+RETARD_TOLERANCE = 1e-12
 
 
 def _serialized(results) -> bytes:
@@ -137,6 +154,24 @@ def main() -> int:
     check(batched == parallel,
           f"serial/parallel results differ ({len(batched)} vs {len(parallel)} bytes)")
     print(f"  byte identity : batch on == off == jobs=2 ({len(batched)} bytes)")
+
+    print(f"phase 5: SERIAL-vs-CLANS ratio hunt ({RETARD_STEPS} steps, band 0)")
+    result = hunt(
+        build_base_graph(RETARD_SPEC),
+        make_objective("ratio", "SERIAL", "CLANS"),
+        seed=RETARD_SEED,
+        steps=RETARD_STEPS,
+    )
+    recipe = json.dumps({
+        "base": RETARD_SPEC,
+        "op_log": [list(op) for op in result.best_op_log],
+        "ratio": result.best_score,
+    })
+    check(result.best_score <= 1 + RETARD_TOLERANCE,
+          f"CLANS retards: makespan {result.best_score!r} x serial; "
+          f"replay with {recipe}")
+    print(f"  best CLANS/serial ratio 1 + {result.best_score - 1:.2g} "
+          f"({len(result.best_op_log)} ops, {result.wall_s:.1f} s): never retards")
 
     print("adversarial smoke: all scenarios passed")
     return 0

@@ -31,13 +31,11 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import re
 import signal
 import socket
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -48,6 +46,7 @@ from repro.schedulers.base import get_scheduler
 from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
 from repro.service.loadgen import run_open_loop, summarize
 from repro.service.protocol import schedule_result
+from smoke_startup import wait_for_line
 
 THROUGHPUT_FLOOR_RPS = 500.0
 
@@ -83,14 +82,8 @@ def start_daemon(sock_path: str, manifest_path: str, *, threads: int) -> subproc
 
 
 def wait_for_daemon(proc: subprocess.Popen) -> None:
-    deadline = time.monotonic() + 20.0
-    while time.monotonic() < deadline:
-        line = proc.stderr.readline()
-        if re.search(r"serving on ", line):
-            return
-        if proc.poll() is not None:
-            break
-    check(False, "daemon did not come up")
+    line = wait_for_line(proc, r"serving on ", 20.0)
+    check(line is not None, "daemon did not come up")
 
 
 def stop_daemon(proc: subprocess.Popen) -> None:

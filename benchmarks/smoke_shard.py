@@ -34,13 +34,11 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import re
 import signal
 import subprocess
 import sys
 import tempfile
 import threading
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -51,6 +49,7 @@ from repro.schedulers.base import get_scheduler
 from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
 from repro.service.loadgen import run_open_loop, summarize
 from repro.service.protocol import schedule_result
+from smoke_startup import wait_for_line
 
 
 def check(cond: bool, message: str) -> None:
@@ -87,15 +86,9 @@ def start_tier(sock_path: str, manifest_path: str) -> subprocess.Popen:
 
 
 def wait_for_tier(proc: subprocess.Popen) -> None:
-    deadline = time.monotonic() + 60.0
-    while time.monotonic() < deadline:
-        line = proc.stderr.readline()
-        if re.search(r"repro service listening on ", line):
-            check("2 workers" in line, f"banner must name the workers: {line!r}")
-            return
-        if proc.poll() is not None:
-            break
-    check(False, "sharded tier did not come up")
+    line = wait_for_line(proc, r"repro service listening on ", 60.0)
+    check(line is not None, "sharded tier did not come up")
+    check("2 workers" in line, f"banner must name the workers: {line!r}")
 
 
 def stop_tier(proc: subprocess.Popen) -> None:

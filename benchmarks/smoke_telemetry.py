@@ -28,12 +28,10 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import re
 import signal
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -42,6 +40,7 @@ from repro.generation.workloads import gaussian_elimination
 from repro.obs.trace import Tracer, use_tracer
 from repro.service.client import ServiceClient
 from repro.service.loadgen import run_open_loop, summarize
+from smoke_startup import wait_for_line
 
 N_REQUESTS = 200
 
@@ -77,14 +76,8 @@ def start_daemon(sock_path: str, trace_path: str) -> subprocess.Popen:
 
 
 def wait_for_daemon(proc: subprocess.Popen) -> None:
-    deadline = time.monotonic() + 20.0
-    while time.monotonic() < deadline:
-        line = proc.stderr.readline()
-        if re.search(r"serving on ", line):
-            return
-        if proc.poll() is not None:
-            break
-    check(False, "daemon did not come up")
+    line = wait_for_line(proc, r"serving on ", 20.0)
+    check(line is not None, "daemon did not come up")
 
 
 def stop_daemon(proc: subprocess.Popen) -> None:

@@ -5,24 +5,20 @@ The paper assumes homogeneous processors; real clusters mix generations of
 hardware.  This example schedules a tiled Cholesky factorization onto
 machines of equal *total* horsepower but increasing skew, comparing HEFT
 (finish-time aware — it knows the fast nodes finish work sooner) against a
-speed-blind earliest-start scheduler, and shows the metaheuristics closing
-the remaining gap.
+speed-blind earliest-start scheduler, and checks both schedules on their
+machine.
 
     python examples/heterogeneous_cluster.py
 """
 
+from repro import Machine
 from repro.generation.workloads import cholesky
-from repro.hetero import (
-    HEFTScheduler,
-    HeteroListScheduler,
-    HeterogeneousMachine,
-    validate_on_machine,
-)
+from repro.hetero import HEFTScheduler, HeteroListScheduler
 
 MACHINES = {
-    "uniform   1+1+1+1": HeterogeneousMachine([1, 1, 1, 1]),
-    "two-tier  .5+.5+1.5+1.5": HeterogeneousMachine([0.5, 0.5, 1.5, 1.5]),
-    "one-big   .5+.5+.5+2.5": HeterogeneousMachine([0.5, 0.5, 0.5, 2.5]),
+    "uniform   1+1+1+1": Machine([1, 1, 1, 1]),
+    "two-tier  .5+.5+1.5+1.5": Machine([0.5, 0.5, 1.5, 1.5]),
+    "one-big   .5+.5+.5+2.5": Machine([0.5, 0.5, 0.5, 2.5]),
 }
 
 
@@ -36,8 +32,8 @@ def main() -> None:
     for label, machine in MACHINES.items():
         heft = HEFTScheduler(machine).schedule(graph)
         blind = HeteroListScheduler(machine).schedule(graph)
-        validate_on_machine(heft, graph, machine)
-        validate_on_machine(blind, graph, machine)
+        heft.validate(graph, machine)
+        blind.validate(graph, machine)
         gap = blind.makespan / heft.makespan - 1.0
         print(f"{label:28s} {heft.makespan:8.0f} {blind.makespan:12.0f} {gap:7.1%}")
 

@@ -32,6 +32,7 @@ Quickstart::
 
 from .core import (
     GRANULARITY_BANDS,
+    Machine,
     Schedule,
     ScheduledTask,
     TaskGraph,
@@ -74,6 +75,7 @@ __version__ = "1.0.0"
 __all__ = [
     "obs",
     "TaskGraph",
+    "Machine",
     "Schedule",
     "ScheduledTask",
     "simulate_ordered",

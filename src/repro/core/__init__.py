@@ -1,4 +1,5 @@
-"""Core substrate: task graphs, analysis, metrics, schedules, simulator."""
+"""Core substrate: task graphs, analysis, metrics, the machine model,
+schedules, simulator."""
 
 from .analysis import (
     GraphAnalysis,
@@ -25,6 +26,7 @@ from .exceptions import (
 )
 from .kernels import GraphIndex, graph_index
 from .lowerbounds import best_bound, cp_bound, density_bound, work_bound
+from .machine import Machine
 from .metrics import (
     GRANULARITY_BANDS,
     anchor_out_degree,
@@ -32,7 +34,7 @@ from .metrics import (
     granularity_band,
     node_weight_range,
 )
-from .schedule import Schedule, ScheduledTask
+from .schedule import Schedule, ScheduledTask, Transfer
 from .stats import GraphStats, ScheduleStats, graph_stats, schedule_stats
 from .simulator import serial_schedule, simulate_clustering, simulate_ordered
 from .taskgraph import TaskGraph
@@ -41,6 +43,8 @@ __all__ = [
     "TaskGraph",
     "Schedule",
     "ScheduledTask",
+    "Transfer",
+    "Machine",
     "simulate_ordered",
     "simulate_clustering",
     "serial_schedule",

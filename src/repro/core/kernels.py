@@ -36,10 +36,12 @@ from __future__ import annotations
 from array import array
 from bisect import insort
 from heapq import heapify, heappop, heappush
+from math import inf
 
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .exceptions import ScheduleError
+from .machine import Machine
 from .schedule import Schedule, _LazySchedule
 from .taskgraph import TaskGraph
 
@@ -460,17 +462,24 @@ def arrival_bounds(
 class IndexedPool:
     """Processor-pool bookkeeping shared by the list schedulers, on task ids.
 
-    The machine model has an unbounded pool of identical, fully connected
-    processors; list schedulers grow the pool on demand.  The pool tracks,
-    per processor, the placed ``(start, finish, id)`` intervals, so
-    schedulers can compute earliest start times either append-only (after
-    the last task) or with idle-slot insertion (MCP).
+    On the paper's machine (``machine`` None, or ``Machine()``) the pool of
+    identical, fully connected processors is unbounded, and list schedulers
+    grow it on demand.  The pool tracks, per processor, the placed
+    ``(start, finish, id)`` intervals, so schedulers can compute earliest
+    start times either append-only (after the last task) or with idle-slot
+    insertion (MCP).
 
     ``max_processors`` (None = unbounded, the paper's model) caps the pool:
     once the cap is reached, fresh-processor candidates are no longer
     offered, giving the *direct* bounded variants of the list schedulers
     (as opposed to the fold-after post-pass in
     :mod:`repro.schedulers.mapping`).
+
+    A fixed :class:`~repro.core.machine.Machine` opens all its processors
+    at once and never grows.  A task's duration on processor ``p`` is its
+    weight over ``p``'s speed, and a message between processors costs its
+    edge weight times their hop count.  Port limits are left to the
+    one-port scheduler, which plans its transfers itself.
 
     Predecessor lookups go through the CSR rows and finish times live in a
     flat list.  The ``Schedule`` rows are appended in placement order, so
@@ -484,9 +493,17 @@ class IndexedPool:
         "proc_of",
         "finish",
         "_intervals",
+        "_durations",
+        "hops",
     )
 
-    def __init__(self, gi: GraphIndex, *, max_processors: int | None = None) -> None:
+    def __init__(
+        self,
+        gi: GraphIndex,
+        *,
+        max_processors: int | None = None,
+        machine: Machine | None = None,
+    ) -> None:
         if max_processors is not None and max_processors < 1:
             raise ValueError(f"max_processors must be >= 1, got {max_processors}")
         self.gi = gi
@@ -495,6 +512,19 @@ class IndexedPool:
         self.proc_of = [-1] * gi.n
         self.finish = [0.0] * gi.n
         self._intervals: list[list[tuple[float, float, int]]] = []
+        #: per open processor, its tasks' durations by id
+        self._durations: list[list[float]] = []
+        self.hops = None
+        if machine is not None and machine.n_processors is not None:
+            n, speeds, weights = machine.n_processors, machine.speeds, gi.weights
+            self.max_processors = n
+            self.hops = machine.hops
+            self._intervals = [[] for _ in range(n)]
+            self._durations = (
+                [weights] * n
+                if speeds is None
+                else [[w / s for w in weights] for s in speeds]
+            )
 
     @property
     def schedule(self) -> Schedule:
@@ -528,25 +558,45 @@ class IndexedPool:
         ready = 0.0
         finish = self.finish
         proc_of = self.proc_of
+        hops = self.hops
+        if hops is None:
+            for j, c in self.gi.pred_rows[i]:
+                arrival = finish[j]
+                if proc_of[j] != proc:
+                    arrival += c
+                if arrival > ready:
+                    ready = arrival
+            return ready
         for j, c in self.gi.pred_rows[i]:
-            arrival = finish[j]
-            if proc_of[j] != proc:
-                arrival += c
+            q = proc_of[j]
+            arrival = finish[j] if q == proc else finish[j] + c * hops[q][proc]
             if arrival > ready:
                 ready = arrival
         return ready
+
+    def duration(self, i: int, proc: int) -> float:
+        """How long task ``i`` runs on ``proc``."""
+        if proc < len(self._durations):
+            return self._durations[proc][i]
+        return self.gi.weights[i]  # a fresh processor of the paper's machine
 
     def est_append(self, i: int, proc: int) -> float:
         """Earliest start of task ``i`` appended after everything on ``proc``."""
         return max(self.avail(proc), self.ready_time(i, proc))
 
     def _insertion_start(self, proc: int, ready: float, duration: float) -> float:
-        """First gap on ``proc`` fitting ``duration`` at/after ``ready``."""
+        """First gap on ``proc`` fitting ``duration`` at/after ``ready``.
+
+        The gap before an interval fits when the task ends at most 1e-12
+        after the interval starts, and starts no later than it: every
+        later interval starts no earlier, so a task shorter than 1e-12 is
+        never slipped inside one that began before it.
+        """
         if proc >= len(self._intervals):
             return ready
         cursor = ready
         for start, finish, _ in self._intervals[proc]:
-            if cursor + duration <= start + 1e-12:
+            if cursor + duration <= start + 1e-12 and cursor <= start:
                 return cursor
             if finish > cursor:
                 cursor = finish
@@ -555,7 +605,7 @@ class IndexedPool:
     def est_insertion(self, i: int, proc: int) -> float:
         """Earliest start of task ``i`` on ``proc`` allowing idle-slot insertion."""
         return self._insertion_start(
-            proc, self.ready_time(i, proc), self.gi.weights[i]
+            proc, self.ready_time(i, proc), self.duration(i, proc)
         )
 
     def place(self, i: int, proc: int, start: float) -> None:
@@ -565,7 +615,8 @@ class IndexedPool:
             raise ValueError("processor indices must be allocated contiguously")
         if proc == len(self._intervals):
             self._intervals.append([])
-        f = start + self.gi.weights[i]
+            self._durations.append(self.gi.weights)
+        f = start + self._durations[proc][i]
         self._rows.append((self.gi.tasks[i], proc, start, f))
         self.finish[i] = f
         intervals = self._intervals[proc]
@@ -637,6 +688,30 @@ class IndexedPool:
                 or (best_proc == n and abs(start - best_start) <= 1e-12)
             ):
                 best_proc, best_start = proc, start
+        return best_proc, best_start
+
+    def earliest_start(self, i: int) -> tuple[int, float]:
+        """``(proc, start)`` of the processor of a fixed machine on which
+        task ``i``, appended, starts earliest: MH's rule.  A later processor
+        wins only by starting more than 1e-12 earlier."""
+        best_proc, best_start = 0, inf
+        for proc in range(len(self._intervals)):
+            start = self.est_append(i, proc)
+            if start < best_start - 1e-12:
+                best_proc, best_start = proc, start
+        return best_proc, best_start
+
+    def earliest_finish(self, i: int, insertion: bool) -> tuple[int, float]:
+        """``(proc, start)`` of the processor of a fixed machine on which
+        task ``i`` finishes earliest, appended or in the first idle slot
+        that fits: HEFT's rule.  A later processor wins only by finishing
+        more than 1e-12 earlier."""
+        best_proc, best_finish, best_start = 0, inf, 0.0
+        for proc in range(len(self._intervals)):
+            start = self.est_insertion(i, proc) if insertion else self.est_append(i, proc)
+            finish = start + self.duration(i, proc)
+            if finish < best_finish - 1e-12:
+                best_proc, best_finish, best_start = proc, finish, start
         return best_proc, best_start
 
     def earliest_available_processor(self) -> tuple[int, float]:

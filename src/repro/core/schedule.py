@@ -12,18 +12,24 @@ the paper fixes the model all heuristics are judged under:
    finish time arrives ``edge weight`` later;
 5. the objective is the makespan (latest finish time), called *parallel time*.
 
-:meth:`Schedule.validate` checks all of these.
+:meth:`Schedule.validate` checks all of these, on the paper's machine or on
+any other :class:`~repro.core.machine.Machine`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from math import inf
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exceptions import ScheduleError
 from .taskgraph import Task, TaskGraph
 
-__all__ = ["ScheduledTask", "Schedule"]
+if TYPE_CHECKING:
+    from .machine import Machine
+
+__all__ = ["ScheduledTask", "Schedule", "Transfer"]
 
 _EPS = 1e-9
 
@@ -46,12 +52,30 @@ class ScheduledTask:
             raise ScheduleError(f"finish before start for {self.task!r}")
 
 
+class Transfer(NamedTuple):
+    """One message of a one-port schedule: ``src``'s output moving to
+    ``dst``, holding processor ``from_proc``'s send port and ``to_proc``'s
+    receive port from ``start`` to ``finish``."""
+
+    src: Task
+    dst: Task
+    start: float
+    finish: float
+    from_proc: int
+    to_proc: int
+
+
 def _start_finish(p: ScheduledTask) -> tuple[float, float]:
     return (p.start, p.finish)
 
 
 class Schedule:
     """An immutable-by-convention mapping of tasks to placements."""
+
+    #: The messages of a one-port timing, in the order they were issued;
+    #: empty on a machine without port limits.  :meth:`to_dict` leaves
+    #: them out.
+    transfers: tuple[Transfer, ...] = ()
 
     def __init__(self, placements: Mapping[Task, ScheduledTask] | None = None) -> None:
         self._by_task: dict[Task, ScheduledTask] = dict(placements or {})
@@ -149,12 +173,20 @@ class Schedule:
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
-    def validate(self, graph: TaskGraph) -> None:
-        """Check the schedule against ``graph`` under the paper's model.
+    def validate(self, graph: TaskGraph, machine: Machine | None = None) -> None:
+        """Check the schedule against ``graph`` on ``machine`` (default: the
+        paper's, ``Machine()``).
 
-        Raises :class:`ScheduleError` on: missing/extra tasks, wrong
-        durations, overlapping tasks on a processor, or a task starting
-        before one of its inputs has arrived.
+        Raises :class:`ScheduleError` on: missing/extra tasks, a processor
+        outside a fixed machine, wrong durations (the weight over the
+        processor's speed), overlapping tasks on a processor, or a task
+        starting before one of its inputs has arrived (the edge weight
+        times the hop count after its producer finishes).  On a one-port
+        machine it also checks :attr:`transfers`: every message of
+        positive cost between processors has exactly one, none carries
+        anything else, each lies between its producer's finish and its
+        consumer's start and lasts the message's cost, and no two overlap
+        on a send port or on a receive port.
 
         One pass over the placements groups them by processor, in placement
         order, so each processor's row is the same stable sort
@@ -172,16 +204,30 @@ class Schedule:
                 f"extra={sorted(map(repr, extra))}"
             )
         weight = graph.weight
+        speeds = hops = None
+        if machine is not None:
+            speeds, hops = machine.speeds, machine.hops
+            size = machine.n_processors or inf
+            for p in by_task.values():
+                if p.processor >= size:
+                    raise ScheduleError(
+                        f"task {p.task!r} on processor {p.processor} outside {machine!r}"
+                    )
         on_proc: dict[int, list[ScheduledTask]] = {}
         for p in by_task.values():
+            proc = p.processor
             expect = weight(p.task)
+            if speeds is not None:
+                expect = expect / speeds[proc]
             if abs((p.finish - p.start) - expect) > _EPS:
                 raise ScheduleError(
-                    f"task {p.task!r} runs {p.finish - p.start}, weight is {expect}"
+                    f"task {p.task!r} runs {p.finish - p.start}, "
+                    + (f"weight is {expect}" if speeds is None
+                       else f"expected {expect} on processor {proc}")
                 )
-            row = on_proc.get(p.processor)
+            row = on_proc.get(proc)
             if row is None:
-                on_proc[p.processor] = [p]
+                on_proc[proc] = [p]
             else:
                 row.append(p)
         for proc in sorted(on_proc):
@@ -195,12 +241,60 @@ class Schedule:
             pu, pv = by_task[u], by_task[v]
             arrival = pu.finish
             if pu.processor != pv.processor:
-                arrival += graph.edge_weight(u, v)
+                if hops is None:
+                    arrival += graph.edge_weight(u, v)
+                else:
+                    arrival += graph.edge_weight(u, v) * hops[pu.processor][pv.processor]
             if pv.start < arrival - _EPS:
                 raise ScheduleError(
                     f"task {v!r} starts at {pv.start} before its input from "
                     f"{u!r} arrives at {arrival}"
                 )
+        if machine is not None and machine.one_port:
+            self._validate_transfers(graph, hops)
+
+    def _validate_transfers(self, graph: TaskGraph, hops) -> None:
+        """The one-port part of :meth:`validate`."""
+        by_task = self._by_task
+        carried: dict[tuple[Task, Task], Transfer] = {}
+        for x in self.transfers:
+            if (x.src, x.dst) in carried:
+                raise ScheduleError(f"two transfers carry {x.src!r} -> {x.dst!r}")
+            carried[x.src, x.dst] = x
+        for u, v in graph.edges():
+            pu, pv = by_task[u], by_task[v]
+            c = graph.edge_weight(u, v)
+            if pu.processor == pv.processor or not c:
+                continue
+            x = carried.pop((u, v), None)
+            if x is None:
+                raise ScheduleError(f"no transfer carries {u!r} -> {v!r}")
+            if hops is not None:
+                c = c * hops[pu.processor][pv.processor]
+            if (
+                (x.from_proc, x.to_proc) != (pu.processor, pv.processor)
+                or x.start < pu.finish - _EPS
+                or x.finish > pv.start + _EPS
+                or abs((x.finish - x.start) - c) > _EPS
+            ):
+                raise ScheduleError(
+                    f"{x} does not carry {u!r} -> {v!r} from processor "
+                    f"{pu.processor} after {pu.finish} to processor "
+                    f"{pv.processor} by {pv.start} in {c}"
+                )
+        if carried:
+            raise ScheduleError(f"{next(iter(carried.values()))} carries no message")
+        ports: dict[tuple[str, int], list[Transfer]] = {}
+        for x in self.transfers:
+            ports.setdefault(("send", x.from_proc), []).append(x)
+            ports.setdefault(("receive", x.to_proc), []).append(x)
+        for (side, proc), row in sorted(ports.items()):
+            row.sort(key=lambda x: (x.start, x.finish))
+            for a, b in zip(row, row[1:]):
+                if b.start < a.finish - _EPS:
+                    raise ScheduleError(
+                        f"{a} and {b} overlap on the {side} port of processor {proc}"
+                    )
 
     def is_valid(self, graph: TaskGraph) -> bool:
         """Boolean form of :meth:`validate`."""

@@ -18,7 +18,9 @@ Two entry points:
 * :func:`simulate_ordered` — the caller supplies per-processor task orders.
 * :func:`simulate_clustering` — the caller supplies only the assignment;
   orders are derived from a priority (b-level by default), which is the
-  convention in the clustering literature.
+  convention in the clustering literature.  It also times the assignment
+  on any other :class:`~repro.core.machine.Machine`: speed-scaled
+  durations, hop-scaled messages, one-port transfers.
 
 Both run on the compiled :class:`~repro.core.kernels.GraphIndex`.  On a
 cyclic graph :func:`simulate_ordered` reports a clustering deadlock,
@@ -31,7 +33,9 @@ graph itself pass ``validate=False`` to skip the per-call set rebuilds.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping, Sequence
+from math import inf
 
 from ..obs.metrics import get_registry
 from .exceptions import CycleError, ScheduleError
@@ -42,7 +46,8 @@ from .kernels import (
     priority_topo_order_idx,
     simulate_ordered_idx,
 )
-from .schedule import Schedule
+from .machine import Machine, fetch_one_port
+from .schedule import Schedule, Transfer, _LazySchedule
 from .taskgraph import Task, TaskGraph
 
 __all__ = ["simulate_ordered", "simulate_clustering", "serial_schedule"]
@@ -106,6 +111,7 @@ def simulate_clustering(
     graph: TaskGraph,
     assignment: Mapping[Task, int],
     *,
+    machine: Machine | None = None,
     priority: Mapping[Task, float] | None = None,
     validate: bool = True,
 ) -> Schedule:
@@ -117,6 +123,14 @@ def simulate_clustering(
     is a subsequence of one global topological order, the result never
     deadlocks.  ``validate=False`` skips the assignment-coverage check for
     internal callers that assign from the graph's own task set.
+
+    On the paper's machine (``machine`` None or ``Machine()``) processors
+    are renumbered ``0..k-1`` in the order of their ids.  On any other
+    machine the assignment's ids are kept (a fixed machine's must lie in
+    it) and the tasks are timed in the global order itself.  On a one-port
+    machine that order issues the transfers, each task fetching its inputs
+    in in-edge order (:func:`~repro.core.machine.fetch_one_port`), and the
+    schedule carries them as ``transfers``.
     """
     if validate:
         tasks = set(graph.tasks())
@@ -130,6 +144,10 @@ def simulate_clustering(
         gi = _index_or_cycle_error(graph)
         prio = [priority[t] for t in gi.tasks]
     order = priority_topo_order_idx(gi, prio)
+    if machine is not None and not machine.is_paper:
+        schedule = _simulate_on(gi, order, [assignment[t] for t in gi.tasks], machine)
+        _count_run(gi.n)
+        return schedule
     procs = sorted(set(assignment.values()))
     remap = {p: i for i, p in enumerate(procs)}
     proc_arr = [0] * gi.n
@@ -144,6 +162,51 @@ def simulate_clustering(
     return schedule
 
 
+def _simulate_on(
+    gi: GraphIndex, order: list[int], proc_of: list[int], machine: Machine
+) -> Schedule:
+    """Time the tasks of ``order``, task ``i`` on processor ``proc_of[i]``,
+    each as soon as its processor and inputs allow on ``machine``."""
+    size = machine.n_processors or inf
+    for i, p in enumerate(proc_of):
+        if not 0 <= p < size:
+            raise ScheduleError(
+                f"task {gi.tasks[i]!r} assigned to processor {p} outside {machine!r}"
+            )
+    speeds, hops = machine.speeds, machine.hops
+    tasks, weights, pred_rows = gi.tasks, gi.weights, gi.pred_rows
+    finish = [0.0] * gi.n
+    free: dict[int, float] = {}
+    recv: dict[int, float] = {}
+    send: defaultdict[int, float] = defaultdict(float)
+    rows: list[tuple[Task, int, float, float]] = []
+    transfers: list[Transfer] = []
+    for i in order:
+        p = proc_of[i]
+        start = free.get(p, 0.0)
+        if machine.one_port:
+            start, recv[p], plan = fetch_one_port(
+                pred_rows[i], p, start, recv.get(p, 0.0), send, finish, proc_of, hops
+            )
+            for j, q, begin, end in plan:
+                send[q] = end
+                transfers.append(Transfer(tasks[j], tasks[i], begin, end, q, p))
+        else:
+            for j, c in pred_rows[i]:
+                q = proc_of[j]
+                arrival = finish[j]
+                if q != p:
+                    arrival += c if hops is None else c * hops[q][p]
+                if arrival > start:
+                    start = arrival
+        f = start + (weights[i] if speeds is None else weights[i] / speeds[p])
+        rows.append((tasks[i], p, start, f))
+        finish[i] = free[p] = f
+    schedule = _LazySchedule(rows)
+    schedule.transfers = tuple(transfers)
+    return schedule
+
+
 def serial_schedule(graph: TaskGraph) -> Schedule:
     """All tasks on processor 0 in topological order — the serial baseline."""
     return simulate_ordered(graph, [graph.topological_order()], validate=False)
@@ -155,17 +218,3 @@ def _index_or_cycle_error(graph: TaskGraph) -> GraphIndex:
         return graph_index(graph)
     except CycleError:
         raise ScheduleError("graph contains a cycle") from None
-
-
-def _priority_topological_order(
-    graph: TaskGraph, priority: Mapping[Task, float]
-) -> list[Task]:
-    """Topological order breaking ties by larger priority first.
-
-    Remaining ties go to insertion order.  Raises :class:`ScheduleError` on
-    a cyclic graph.
-    """
-    gi = _index_or_cycle_error(graph)
-    tasks = gi.tasks
-    prio = [priority[t] for t in tasks]
-    return [tasks[i] for i in priority_topo_order_idx(gi, prio)]

@@ -8,91 +8,77 @@ tasks alike, CPOP pins the *critical path* to the single best processor:
    length form the critical path;
 2. the *critical-path processor* is the one minimizing the path's total
    execution time (the fastest, on our uniform-weight machines);
-3. scheduling by priority: critical tasks go to the CP processor,
-   everything else to its earliest-finish processor (insertion enabled).
+3. scheduling by priority from a free list (a task enters it once its
+   predecessors are placed), ties by topological position: critical tasks
+   go to the CP processor, everything else to its earliest-finish
+   processor (insertion enabled).
 
-On machines with one much faster processor CPOP's pinning is a strong
-prior; on balanced machines HEFT usually wins — the benchmark shows both.
+It is a preset of the list-scheduling engine on a fixed
+:class:`~repro.core.machine.Machine`, like HEFT.  On machines with one
+much faster processor CPOP's pinning is a strong prior; on balanced
+machines HEFT usually wins — the benchmark shows both.
 """
 
 from __future__ import annotations
 
-import heapq
-
-from ..core.exceptions import GraphError
+from ..core.kernels import IndexedPool, graph_index, priority_topo_order_idx
+from ..core.machine import Machine
 from ..core.schedule import Schedule
-from ..core.taskgraph import Task, TaskGraph
-from .heft import _MachineState, upward_ranks
-from .machine import HeterogeneousMachine
+from ..core.taskgraph import TaskGraph
+from ..schedulers.base import Scheduler
+from ..schedulers.listsched import place_in_order
+from .heft import mean_durations, rank_order, upward_ranks
 
 __all__ = ["CPOPScheduler"]
 
 
-def downward_ranks(graph: TaskGraph, machine: HeterogeneousMachine) -> dict[Task, float]:
-    """Mean-execution t-levels with communication (CPOP's second rank)."""
-    ranks: dict[Task, float] = {}
-    for t in graph.topological_order():
+def downward_ranks(graph: TaskGraph, machine: Machine) -> list[float]:
+    """Mean-execution t-levels with communication (CPOP's second rank),
+    indexed by task id."""
+    gi = graph_index(graph)
+    mean = mean_durations(gi, machine)
+    ranks = [0.0] * gi.n
+    for t in gi.topo_list:
         best = 0.0
-        for p, c in graph.in_edges(t).items():
-            cand = ranks[p] + machine.mean_exec_time(graph.weight(p)) + c
+        for p, c in gi.pred_rows[t]:
+            cand = ranks[p] + mean[p] + c
             if cand > best:
                 best = cand
         ranks[t] = best
     return ranks
 
 
-class CPOPScheduler:
+class CPOPScheduler(Scheduler):
     """Critical-path-on-a-processor scheduling for heterogeneous machines."""
 
-    def __init__(self, machine: HeterogeneousMachine) -> None:
+    def __init__(self, machine: Machine) -> None:
+        self.name = f"CPOP@{machine.require_fixed('CPOP')}"
         self.machine = machine
-        self.name = f"CPOP@{machine.n_processors}"
 
-    def schedule(self, graph: TaskGraph) -> Schedule:
-        """Schedule ``graph``; validate with
-        :func:`~repro.hetero.machine.validate_on_machine`."""
-        if graph.n_tasks == 0:
-            raise GraphError("CPOP: cannot schedule an empty graph")
-        graph.validate()
+    def _schedule(self, graph: TaskGraph) -> Schedule:
         machine = self.machine
+        pool = IndexedPool(graph_index(graph), machine=machine)
+        gi = pool.gi
         up = upward_ranks(graph, machine)
-        down = downward_ranks(graph, machine)
-        priority = {t: up[t] + down[t] for t in graph.tasks()}
-        cp_value = max(up[t] for t in graph.tasks() if graph.in_degree(t) == 0)
-        critical = {t for t in graph.tasks() if abs(priority[t] - cp_value) < 1e-9}
+        priority = [u + d for u, d in zip(up, downward_ranks(graph, machine))]
+        cp_value = max(up[i] for i in gi.source_ids)
+        critical = [abs(p - cp_value) < 1e-9 for p in priority]
 
         # the CP processor executes the whole critical path fastest; with
         # uniform weights that is simply the fastest processor
-        cp_work = sum(graph.weight(t) for t in critical)
-        cp_proc = min(
-            range(machine.n_processors),
-            key=lambda p: (machine.exec_time(cp_work, p), p),
-        )
+        cp_work = sum(w for w, on in zip(gi.weights, critical) if on)
+        speeds = machine.speeds or (1.0,) * machine.n_processors
+        cp_proc = min(range(len(speeds)), key=lambda p: (cp_work / speeds[p], p))
 
-        state = _MachineState(graph, machine)
-        seq = {t: i for i, t in enumerate(graph.topological_order())}
-        n_sched_preds = {t: 0 for t in graph.tasks()}
-        ready = [
-            (-priority[t], seq[t], t)
-            for t in graph.tasks()
-            if graph.in_degree(t) == 0
-        ]
-        heapq.heapify(ready)
-        while ready:
-            _, _, task = heapq.heappop(ready)
-            if task in critical:
-                proc = cp_proc
-                start = state.est(task, proc, insertion=True)
-            else:
-                proc, best_finish, start = 0, float("inf"), 0.0
-                for p in range(machine.n_processors):
-                    s = state.est(task, p, insertion=True)
-                    f = s + machine.exec_time(graph.weight(task), p)
-                    if f < best_finish - 1e-12:
-                        proc, best_finish, start = p, f, s
-            state.place(task, proc, start)
-            for succ in graph.successors(task):
-                n_sched_preds[succ] += 1
-                if n_sched_preds[succ] == graph.in_degree(succ):
-                    heapq.heappush(ready, (-priority[succ], seq[succ], succ))
-        return state.schedule
+        def choose(i: int) -> tuple[int, float]:
+            if critical[i]:
+                return cp_proc, pool.est_insertion(i, cp_proc)
+            return pool.earliest_finish(i, True)
+
+        # the free list pops by (-priority, topological position); ranking
+        # every task by that key once turns it into the free-list order of
+        # priority_topo_order_idx, which pops by (-key, id)
+        key = [0] * gi.n
+        for r, i in enumerate(rank_order(gi, priority)):
+            key[i] = -r
+        return place_in_order(pool, priority_topo_order_idx(gi, key), choose)

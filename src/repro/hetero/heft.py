@@ -12,127 +12,84 @@ heterogeneous model:
 :class:`HeteroListScheduler` is the MH-style baseline: same ranks, but
 earliest-*start* placement without insertion — isolating how much HEFT's
 finish-time objective and insertion buy on skewed machines.
+
+Both are presets of the list-scheduling engine
+(:func:`~repro.schedulers.listsched.place_in_order`) on a fixed
+:class:`~repro.core.machine.Machine`, whose pool scales every duration by
+the processor's speed and every message by the hop count.
 """
 
 from __future__ import annotations
 
-from ..core.exceptions import GraphError
+from ..core.kernels import GraphIndex, IndexedPool, graph_index
+from ..core.machine import Machine
 from ..core.schedule import Schedule
-from ..core.taskgraph import Task, TaskGraph
-from .machine import HeterogeneousMachine
+from ..core.taskgraph import TaskGraph
+from ..schedulers.base import Scheduler
+from ..schedulers.listsched import place_in_order
 
 __all__ = ["HEFTScheduler", "HeteroListScheduler"]
 
 
-def upward_ranks(graph: TaskGraph, machine: HeterogeneousMachine) -> dict[Task, float]:
-    """HEFT's upward ranks (mean-execution b-levels with communication)."""
-    ranks: dict[Task, float] = {}
-    for t in reversed(graph.topological_order()):
+def mean_durations(gi: GraphIndex, machine: Machine) -> list[float]:
+    """Each task's execution time averaged over the processors, by id."""
+    speeds = machine.speeds
+    if speeds is None:
+        return gi.weights
+    return [sum(w / s for s in speeds) / len(speeds) for w in gi.weights]
+
+
+def upward_ranks(graph: TaskGraph, machine: Machine) -> list[float]:
+    """HEFT's upward ranks (mean-execution b-levels with communication),
+    indexed by task id."""
+    gi = graph_index(graph)
+    mean = mean_durations(gi, machine)
+    ranks = [0.0] * gi.n
+    for t in reversed(gi.topo_list):
         best = 0.0
-        for s, c in graph.out_edges(t).items():
+        for s, c in gi.succ_rows[t]:
             cand = c + ranks[s]
             if cand > best:
                 best = cand
-        ranks[t] = machine.mean_exec_time(graph.weight(t)) + best
+        ranks[t] = mean[t] + best
     return ranks
 
 
-class _MachineState:
-    """Per-processor interval bookkeeping with speed-scaled durations."""
-
-    def __init__(self, graph: TaskGraph, machine: HeterogeneousMachine) -> None:
-        self.graph = graph
-        self.machine = machine
-        self.intervals: list[list[tuple[float, float]]] = [
-            [] for _ in range(machine.n_processors)
-        ]
-        self.schedule = Schedule()
-        self.proc_of: dict[Task, int] = {}
-
-    def ready_time(self, task: Task, proc: int) -> float:
-        ready = 0.0
-        for pred, c in self.graph.in_edges(task).items():
-            arrival = self.schedule.finish(pred)
-            if self.proc_of[pred] != proc:
-                arrival += c
-            ready = max(ready, arrival)
-        return ready
-
-    def est(self, task: Task, proc: int, *, insertion: bool) -> float:
-        duration = self.machine.exec_time(self.graph.weight(task), proc)
-        ready = self.ready_time(task, proc)
-        row = self.intervals[proc]
-        if not insertion:
-            last = row[-1][1] if row else 0.0
-            return max(last, ready)
-        cursor = ready
-        for start, finish in row:
-            if cursor + duration <= start + 1e-12:
-                return cursor
-            if finish > cursor:
-                cursor = finish
-        return max(cursor, ready)
-
-    def place(self, task: Task, proc: int, start: float) -> None:
-        from bisect import insort
-
-        duration = self.machine.exec_time(self.graph.weight(task), proc)
-        self.schedule.place(task, proc, start, duration)
-        insort(self.intervals[proc], (start, start + duration))
-        self.proc_of[task] = proc
+def rank_order(gi: GraphIndex, rank: list[float]) -> list[int]:
+    """Task ids by descending ``rank``, ties by topological position."""
+    position = [0] * gi.n
+    for k, i in enumerate(gi.topo_list):
+        position[i] = k
+    return sorted(range(gi.n), key=lambda i: (-rank[i], position[i]))
 
 
-class HEFTScheduler:
+class HEFTScheduler(Scheduler):
     """Heterogeneous Earliest Finish Time.
 
     Not part of the homogeneous registry (it needs a machine); construct
-    directly: ``HEFTScheduler(HeterogeneousMachine([1, 1, 2]))``.
+    directly: ``HEFTScheduler(Machine([1, 1, 2]))``.
     """
 
-    def __init__(self, machine: HeterogeneousMachine, *, insertion: bool = True) -> None:
+    def __init__(self, machine: Machine, *, insertion: bool = True) -> None:
+        self.name = f"HEFT@{machine.require_fixed('HEFT')}"
         self.machine = machine
         self.insertion = insertion
-        self.name = f"HEFT@{machine.n_processors}"
 
-    def schedule(self, graph: TaskGraph) -> Schedule:
-        if graph.n_tasks == 0:
-            raise GraphError("HEFT: cannot schedule an empty graph")
-        graph.validate()
-        ranks = upward_ranks(graph, self.machine)
-        topo_pos = {t: i for i, t in enumerate(graph.topological_order())}
-        order = sorted(graph.tasks(), key=lambda t: (-ranks[t], topo_pos[t]))
-        state = _MachineState(graph, self.machine)
-        for task in order:
-            best_p, best_finish, best_start = 0, float("inf"), 0.0
-            for p in range(self.machine.n_processors):
-                start = state.est(task, p, insertion=self.insertion)
-                finish = start + self.machine.exec_time(graph.weight(task), p)
-                if finish < best_finish - 1e-12:
-                    best_p, best_finish, best_start = p, finish, start
-            state.place(task, best_p, best_start)
-        return state.schedule
+    def _schedule(self, graph: TaskGraph) -> Schedule:
+        pool = IndexedPool(graph_index(graph), machine=self.machine)
+        order = rank_order(pool.gi, upward_ranks(graph, self.machine))
+        insertion = self.insertion
+        return place_in_order(pool, order, lambda i: pool.earliest_finish(i, insertion))
 
 
-class HeteroListScheduler:
+class HeteroListScheduler(Scheduler):
     """Speed-aware MH-style baseline: earliest-start, no insertion."""
 
-    def __init__(self, machine: HeterogeneousMachine) -> None:
+    def __init__(self, machine: Machine) -> None:
+        self.name = f"HMH@{machine.require_fixed('HMH')}"
         self.machine = machine
-        self.name = f"HMH@{machine.n_processors}"
 
-    def schedule(self, graph: TaskGraph) -> Schedule:
-        if graph.n_tasks == 0:
-            raise GraphError("HMH: cannot schedule an empty graph")
-        graph.validate()
-        ranks = upward_ranks(graph, self.machine)
-        topo_pos = {t: i for i, t in enumerate(graph.topological_order())}
-        order = sorted(graph.tasks(), key=lambda t: (-ranks[t], topo_pos[t]))
-        state = _MachineState(graph, self.machine)
-        for task in order:
-            best_p, best_start = 0, float("inf")
-            for p in range(self.machine.n_processors):
-                start = state.est(task, p, insertion=False)
-                if start < best_start - 1e-12:
-                    best_p, best_start = p, start
-            state.place(task, best_p, best_start)
-        return state.schedule
+    def _schedule(self, graph: TaskGraph) -> Schedule:
+        pool = IndexedPool(graph_index(graph), machine=self.machine)
+        order = rank_order(pool.gi, upward_ranks(graph, self.machine))
+        return place_in_order(pool, order, pool.earliest_start)

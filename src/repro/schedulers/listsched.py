@@ -1,18 +1,19 @@
 """One list-scheduling engine: a task order plus a placement rule.
 
 A list scheduler places one task at a time on the processor its placement
-rule picks.  The eight list heuristics of this package are presets of the
+rule picks.  The eleven list heuristics of this package are presets of the
 two loops below; they differ only in their components (priority, order,
 processor rule, insertion, machine), the axes along which Coleman et al.'s
 parameterized scheduler splits list scheduling.  DESIGN.md section 3
 tabulates them.
 
 * :func:`place_in_order` serves the static-priority schedulers (MCP, MH,
-  HU, HLFET, the topology MH and the one-port MH1P).  Their task order
-  never depends on where earlier tasks went, so it is computed before any
-  placement: MCP's sorted list, the free-list order of
-  :func:`~repro.core.kernels.priority_topo_order_idx` (HU, HLFET, MH1P)
-  or MH's :func:`wave_order` (MH and the topology MH).
+  HU, HLFET, the topology MH, the one-port MH1P, and HEFT, HMH and CPOP).
+  Their task order never depends on where earlier tasks went, so it is
+  computed before any placement: a sorted list (MCP, HEFT, HMH), the
+  free-list order of :func:`~repro.core.kernels.priority_topo_order_idx`
+  (HU, HLFET, MH1P, CPOP) or MH's :func:`wave_order` (MH and the topology
+  MH).
 * :func:`place_greedily` serves the dynamic ones (ETF, DLS): at every
   step it places the ready (task, processor) pair its preset ranks first.
 """

@@ -3,14 +3,19 @@
 The paper's motivation (section 1) is that multiprocessor scheduling is
 NP-hard, so *no baseline exists* against which heuristics can be judged.
 For graphs of up to ~8 tasks we can afford one: a branch-and-bound search
-over all non-delay schedules — at each step every ready task is tried on
-every used processor plus one fresh processor.
+in which, at each step, every ready task is tried on every used processor
+plus one fresh processor, each time at its earliest start after the
+processor's last task.
 
-The search is exact within the class of non-delay schedules (no processor
-is kept idle when it could start a ready task); with communication costs a
-delayed start can very occasionally beat all non-delay schedules, so the
-result is formally an upper bound that is optimal for almost all instances.
-The test suite uses it to bound the heuristics' optimality gaps.
+The result is optimal on the paper's machine, up to the pruning margin.
+Every valid schedule has an assignment and per-processor task orders;
+timing them semi-actively (each task as early as its processor and inputs
+allow) is never worse, and the search reaches every assignment and order
+with exactly those start times (DESIGN.md section 2 gives the proof).  A
+branch is cut once it cannot end below the incumbent minus 1e-12, so the
+result may lie up to 1e-12 above the optimum, never below it.  The test
+suite checks it against an exhaustive enumeration of clusterings and uses
+it to bound the heuristics' optimality gaps.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ MAX_TASKS = 10
 
 @register
 class OptimalScheduler(Scheduler):
-    """Exhaustive branch-and-bound over non-delay schedules."""
+    """Exhaustive branch-and-bound over every assignment and processor
+    order, each timed semi-actively."""
 
     name = "OPT"
 

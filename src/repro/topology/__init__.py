@@ -6,11 +6,16 @@ our examples is fully-connected our experiment does not take advantage of
 this feature."  This subpackage builds the feature out:
 
 * :mod:`repro.topology.networks` — fixed processor networks (fully
-  connected, ring, 2-D mesh, hypercube, star) with hop distances;
-* :mod:`repro.topology.simulate` — timing/validation where a message
-  between processors costs ``edge weight * hop distance``;
+  connected, ring, 2-D mesh, hypercube, star) with hop distances; a
+  :class:`~repro.core.machine.Machine` with one of them as its ``network``
+  costs a message ``edge weight * hop distance``;
 * :mod:`repro.topology.mh_topo` — the topology-aware MH variant, which
-  reduces exactly to bounded MH on a fully connected network.
+  reduces exactly to bounded MH on a fully connected network;
+* :mod:`repro.topology.port_aware` — MH1P, which plans around one send and
+  one receive port per processor (``Machine(one_port=True)``).
+
+``simulate_clustering(..., machine=...)`` times any assignment on such a
+machine, and ``Schedule.validate(graph, machine)`` checks it.
 """
 
 from .mh_topo import TopologyMHScheduler
@@ -22,9 +27,7 @@ from .networks import (
     Star,
     Topology,
 )
-from .contention import OnePortResult, Transfer, simulate_one_port
 from .port_aware import PortAwareScheduler
-from .simulate import simulate_on_topology, validate_on_topology
 
 __all__ = [
     "Topology",
@@ -33,11 +36,6 @@ __all__ = [
     "Mesh2D",
     "Hypercube",
     "Star",
-    "simulate_on_topology",
-    "validate_on_topology",
     "TopologyMHScheduler",
-    "simulate_one_port",
-    "OnePortResult",
-    "Transfer",
     "PortAwareScheduler",
 ]

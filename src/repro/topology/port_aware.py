@@ -1,17 +1,21 @@
 """A contention-aware list scheduler for the one-port model.
 
-:mod:`repro.topology.contention` showed that schedules built for the
-paper's free-overlap model degrade badly when ports serialize.  This
-scheduler plans *with* the port constraints: an MH-style list scheduler
-whose placement rule evaluates, for each candidate processor, the true
-one-port start time — reserving the sender/receiver ports for every fetch
-it would trigger — and commits the reservations of the chosen candidate.
+Schedules built for the paper's free-overlap model degrade badly when
+ports serialize (``benchmarks/bench_contention_and_improvement.py`` re-times
+them on ``Machine(one_port=True)``).  This scheduler plans *with* the port
+constraints: an MH-style list scheduler whose placement rule evaluates, for
+each candidate processor, the true one-port start time — reserving the
+sender/receiver ports for every fetch it would trigger — and commits the
+reservations of the chosen candidate.
 
 It is a preset of the list-scheduling engine
 (:func:`~repro.schedulers.listsched.place_in_order`): MH's priority (the
 communication-inclusive level) in the free-list order
 :func:`~repro.core.kernels.priority_topo_order_idx` gives, with the
-one-port start as its processor rule.
+one-port start of :func:`~repro.core.machine.fetch_one_port` as its
+processor rule.  Its schedules carry their
+:class:`~repro.core.schedule.Transfer` records, which
+``schedule.validate(graph, Machine(one_port=True))`` checks.
 
 The benchmark compares it against re-timed contention-blind heuristics:
 planning with the real model should recover much of the penalty.
@@ -26,58 +30,35 @@ from ..core.kernels import (
     graph_index,
     priority_topo_order_idx,
 )
-from ..core.schedule import Schedule
-from ..core.taskgraph import Task, TaskGraph
+from ..core.machine import Machine, fetch_one_port
+from ..core.schedule import Schedule, Transfer
+from ..core.taskgraph import TaskGraph
+from ..schedulers.base import Scheduler
 from ..schedulers.listsched import place_in_order
 
 __all__ = ["PortAwareScheduler"]
 
 
-class PortAwareScheduler:
+class PortAwareScheduler(Scheduler):
     """List scheduling that plans around one-port communication."""
+
+    name = "MH1P"
+    #: The machine its schedules are valid on.
+    machine = Machine(one_port=True)
 
     def __init__(self, *, max_processors: int | None = None) -> None:
         if max_processors is not None and max_processors < 1:
             raise GraphError("max_processors must be >= 1")
         self.max_processors = max_processors
-        self.name = "MH1P"
-        #: Transfers committed by the last schedule() call.
-        self.last_transfers: list[tuple[Task, Task, float, float]] = []
 
-    def schedule(self, graph: TaskGraph) -> Schedule:
-        """Schedule under the one-port model (see module docstring)."""
-        if graph.n_tasks == 0:
-            raise GraphError("MH1P: cannot schedule an empty graph")
-        graph.validate()
+    def _schedule(self, graph: TaskGraph) -> Schedule:
         gi = graph_index(graph)
         tasks = gi.tasks
         pool = IndexedPool(gi, max_processors=self.max_processors)
         finish, proc_of = pool.finish, pool.proc_of
-        send_free: list[float] = []
-        recv_free: list[float] = []
-        transfers = self.last_transfers = []
-
-        def plan(preds: list[tuple[int, float]], proc: int):
-            """(start, proc, receive cursor, port reservations) on ``proc``."""
-            fresh = proc == pool.n_processors
-            start = pool.avail(proc)
-            recv_cursor = 0.0 if fresh else recv_free[proc]
-            reservations = []  # (src_proc, xfer_start, xfer_finish, pred)
-            send_cursor: dict[int, float] = {}  # local view of send ports
-            for j, c in preds:
-                q = proc_of[j]
-                if q == proc or c == 0.0:
-                    arrival = finish[j]
-                else:
-                    s_free = send_cursor.get(q, send_free[q])
-                    xfer = max(finish[j], s_free, recv_cursor)
-                    arrival = xfer + c
-                    send_cursor[q] = arrival
-                    recv_cursor = arrival
-                    reservations.append((q, xfer, arrival, j))
-                if arrival > start:
-                    start = arrival
-            return start, proc, recv_cursor, reservations
+        send: list[float] = []
+        recv: list[float] = []
+        transfers: list[Transfer] = []
 
         def choose(i: int) -> tuple[int, float]:
             """The earliest one-port start, ties to the lower processor;
@@ -86,18 +67,25 @@ class PortAwareScheduler:
             # long transfers should not wait behind short ones)
             preds = sorted(gi.pred_rows[i], key=lambda jc: (-jc[1], jc[0]))
             n = pool.n_processors
+            plans = []
+            for p in range(n + 1 if pool.can_grow else n):
+                start, recv_free, reservations = fetch_one_port(
+                    preds, p, pool.avail(p), recv[p] if p < n else 0.0,
+                    send, finish, proc_of, None,
+                )
+                plans.append((start, p, recv_free, reservations))
             # plans differ by processor, so only (start, proc) is compared
-            start, proc, recv_cursor, reservations = min(
-                plan(preds, p) for p in range(n + 1 if pool.can_grow else n)
-            )
+            start, proc, recv_free, reservations = min(plans)
             if proc == n:
-                send_free.append(0.0)
-                recv_free.append(0.0)
-            for q, xfer, arrival, j in reservations:
-                send_free[q] = max(send_free[q], arrival)
-                transfers.append((tasks[j], tasks[i], xfer, arrival))
-            recv_free[proc] = max(recv_free[proc], recv_cursor)
+                send.append(0.0)
+                recv.append(0.0)
+            for j, q, begin, end in reservations:
+                send[q] = end
+                transfers.append(Transfer(tasks[j], tasks[i], begin, end, q, proc))
+            recv[proc] = recv_free
             return proc, start
 
         order = priority_topo_order_idx(gi, b_levels_arr(graph, communication=True))
-        return place_in_order(pool, order, choose)
+        schedule = place_in_order(pool, order, choose)
+        schedule.transfers = tuple(transfers)
+        return schedule

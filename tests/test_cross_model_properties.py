@@ -18,19 +18,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import TaskGraph, get_scheduler
+from repro import Machine, TaskGraph, get_scheduler
 from repro.core.simulator import simulate_clustering
-from repro.hetero import HEFTScheduler, HeterogeneousMachine, validate_on_machine
+from repro.hetero import HEFTScheduler
 from repro.schedulers import BoundedScheduler
-from repro.topology import (
-    FullyConnected,
-    Ring,
-    simulate_on_topology,
-    simulate_one_port,
-    validate_on_topology,
-)
+from repro.topology import FullyConnected, Ring
 
 from conftest import task_graphs
+
+
+ONE_PORT = Machine(one_port=True)
 
 
 def _assignment(g, data, n_procs):
@@ -46,16 +43,21 @@ class TestTopologyVsUniform:
     def test_clique_equals_uniform(self, g, data):
         assignment = _assignment(g, data, 3)
         uniform = simulate_clustering(g, assignment)
-        clique = simulate_on_topology(g, assignment, FullyConnected(3))
+        machine = Machine(network=FullyConnected(3))
+        clique = simulate_clustering(g, assignment, machine=machine)
+        clique.validate(g, machine)
         assert clique.makespan == pytest.approx(uniform.makespan)
 
     @given(g=task_graphs(min_tasks=1, max_tasks=10), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_ring_never_faster_than_clique(self, g, data):
         assignment = _assignment(g, data, 4)
-        clique = simulate_on_topology(g, assignment, FullyConnected(4))
-        ring = simulate_on_topology(g, assignment, Ring(4))
-        validate_on_topology(ring, g, Ring(4))
+        clique = simulate_clustering(
+            g, assignment, machine=Machine(network=FullyConnected(4))
+        )
+        ring_machine = Machine(network=Ring(4))
+        ring = simulate_clustering(g, assignment, machine=ring_machine)
+        ring.validate(g, ring_machine)
         assert ring.makespan >= clique.makespan - 1e-9
 
 
@@ -65,17 +67,18 @@ class TestOnePortVsFree:
     def test_contention_dominates(self, g, data):
         assignment = _assignment(g, data, 3)
         free = simulate_clustering(g, assignment)
-        port = simulate_one_port(g, assignment)
+        port = simulate_clustering(g, assignment, machine=ONE_PORT)
         assert port.makespan >= free.makespan - 1e-9
         # and the one-port schedule remains valid under the free model
-        port.schedule.validate(g)
+        port.validate(g, ONE_PORT)
+        port.validate(g)
 
     @given(g=task_graphs(min_tasks=1, max_tasks=10))
     @settings(max_examples=25, deadline=None)
     def test_single_processor_immune_to_ports(self, g):
         assignment = {t: 0 for t in g.tasks()}
         free = simulate_clustering(g, assignment)
-        port = simulate_one_port(g, assignment)
+        port = simulate_clustering(g, assignment, machine=ONE_PORT)
         assert port.makespan == pytest.approx(free.makespan)
         assert port.transfers == ()
 
@@ -95,9 +98,9 @@ class TestHeteroVsUniform:
     @given(g=task_graphs(min_tasks=1, max_tasks=10))
     @settings(max_examples=30, deadline=None)
     def test_unit_speeds_have_uniform_durations(self, g):
-        m = HeterogeneousMachine.homogeneous(3)
+        m = Machine([1, 1, 1])
         s = HEFTScheduler(m).schedule(g)
-        validate_on_machine(s, g, m)
+        s.validate(g, m)
         s.validate(g)  # unit speeds: also valid under the paper's model
 
     @given(
@@ -107,12 +110,12 @@ class TestHeteroVsUniform:
     @example(g=_faster_is_slower(), factor=2.0)
     @settings(max_examples=25, deadline=None)
     def test_uniformly_faster_machine_scales_makespan(self, g, factor):
-        slow_machine = HeterogeneousMachine.homogeneous(3)
-        fast_machine = HeterogeneousMachine.homogeneous(3, speed=factor)
+        slow_machine = Machine([1] * 3)
+        fast_machine = Machine([factor] * 3)
         slow = HEFTScheduler(slow_machine).schedule(g)
         fast = HEFTScheduler(fast_machine).schedule(g)
-        validate_on_machine(slow, g, slow_machine)
-        validate_on_machine(fast, g, fast_machine)
+        slow.validate(g, slow_machine)
+        fast.validate(g, fast_machine)
         # Computation shrinks by `factor` but messages do not, so with
         # communication the upward ranks, hence HEFT's order, can change
         # and the fast machine is not always faster (see below).  Without
@@ -134,8 +137,10 @@ class TestHeteroVsUniform:
         follows 0, and 5 must wait for 4's message of 3: it starts at
         1.0 + 3 = 4.0 and ends at 4.5, after the slow machine's 4.0."""
         g = _faster_is_slower()
-        slow = HEFTScheduler(HeterogeneousMachine.homogeneous(3)).schedule(g)
-        fast = HEFTScheduler(HeterogeneousMachine.homogeneous(3, speed=2)).schedule(g)
+        slow = HEFTScheduler(Machine([1] * 3)).schedule(g)
+        fast = HEFTScheduler(Machine([2] * 3)).schedule(g)
+        slow.validate(g, Machine([1] * 3))
+        fast.validate(g, Machine([2] * 3))
         assert slow.makespan == 4.0
         assert fast.makespan == 4.5
         assert slow.processor_of(5) == slow.processor_of(2) == slow.processor_of(4)

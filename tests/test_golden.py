@@ -12,7 +12,10 @@ sha256 digests pin whole outputs byte for byte: the generated Table-1
 graphs at two master seeds; every registered scheduler's schedules over
 the default-seed Table-1 suite and over a seeded corpus of tiny graphs,
 plus the bounded and ablation variants; the machine-specific list
-schedulers (topology MH, MH1P, HEFT, HMH, CPOP) on that suite; the clan
+schedulers (topology MH, MH1P, HEFT, HMH, CPOP) on that suite, each
+schedule validated on its machine; the simulator's timings of seeded
+assignments on three networks and of the paper heuristics' assignments on
+the one-port machine, transfers included; the clan
 trees, levels and critical paths of that suite; and the result of the
 fixed-seed advbench hunt (best instance digest plus the op log that
 rebuilds it).  A
@@ -36,16 +39,13 @@ from repro.adversarial.search import hunt
 from repro.adversarial.store import build_base_graph, wire_record
 from repro.clans.decomposition import decompose
 from repro.core.analysis import alap_times, b_levels, critical_path, t_levels
+from repro.core.machine import Machine
+from repro.core.simulator import simulate_clustering
 from repro.core.wire import dumps, graph_to_wire
 from repro.experiments.advbench import BASE_SPEC, OBJECTIVE, PAIR, POLICY, SEED
 from repro.generation.random_dag import generate_pdg
 from repro.generation.suites import generate_suite
-from repro.hetero import (
-    CPOPScheduler,
-    HEFTScheduler,
-    HeterogeneousMachine,
-    HeteroListScheduler,
-)
+from repro.hetero import CPOPScheduler, HEFTScheduler, HeteroListScheduler
 from repro.schedulers import SCHEDULER_REGISTRY
 from repro.topology import Mesh2D, PortAwareScheduler, Ring, Star, TopologyMHScheduler
 
@@ -191,16 +191,41 @@ MACHINE_SCHEDULES_SHA256 = {
     "MH@Ring(8)": "2451ccc2f54301ad6be8aadfb65798e2080d1f862708d1e8d145fb51ca9857bc",
     "MH@Star(8)": "01a58accf5915841f55f6b4916d5de70c160ef6076728492ef51a98723acdf3b",
 }
-_MACHINE = HeterogeneousMachine([1, 1, 2, 4])
+_MACHINE = Machine([1, 1, 2, 4])
 MACHINE_SCHEDULERS = {
     "CPOP": lambda: CPOPScheduler(_MACHINE),
     "HEFT": lambda: HEFTScheduler(_MACHINE),
     "HMH": lambda: HeteroListScheduler(_MACHINE),
     "MH1P": PortAwareScheduler,
     "MH1P(max_processors=3)": lambda: PortAwareScheduler(max_processors=3),
-    "MH@Mesh2D(2, 4)": lambda: TopologyMHScheduler(Mesh2D(2, 4)),
-    "MH@Ring(8)": lambda: TopologyMHScheduler(Ring(8)),
-    "MH@Star(8)": lambda: TopologyMHScheduler(Star(8)),
+    "MH@Mesh2D(2, 4)": lambda: TopologyMHScheduler(Machine(network=Mesh2D(2, 4))),
+    "MH@Ring(8)": lambda: TopologyMHScheduler(Machine(network=Ring(8))),
+    "MH@Star(8)": lambda: TopologyMHScheduler(Machine(network=Star(8))),
+}
+#: sha256 of the timed placements, sorted by task, of one seeded random
+#: assignment per default-suite graph on each network, where a message
+#: costs its edge weight times the hop distance.  Rows are sorted because
+#: no caller depends on the order the simulator places them in.
+NETWORK_SIMULATIONS_SHA256 = {
+    "Mesh2D(2, 4)": "3df662b5e408fb385b9e93e0c4d7a0672a3cb66929a5e9a9320edcf62557f7da",
+    "Ring(8)": "979b7e7d0ff4e750be6569a13591472b2c63349314bc77a3591eae6cb33a4a4f",
+    "Star(8)": "710fb3fcc3f605c48be49b0613a864b440840eff37849248426db04713b9b956",
+}
+NETWORKS = {
+    "Mesh2D(2, 4)": Machine(network=Mesh2D(2, 4)),
+    "Ring(8)": Machine(network=Ring(8)),
+    "Star(8)": Machine(network=Star(8)),
+}
+ONE_PORT = Machine(one_port=True)
+#: sha256 of the one-port timings of each paper heuristic's assignment over
+#: the default-seed suite: the placements sorted by task, then the transfer
+#: log in the order the simulator issued it.
+ONE_PORT_SIMULATIONS_SHA256 = {
+    "CLANS": "6f4deb1697c3d0464070506e460b01c289dbfcb924df3934d7191655c76f4754",
+    "DSC": "b47895949e2d88fbf155b47a8165805dbda93b0c7550289f700b8530d7f41937",
+    "HU": "b6d4642b2e2160d91120fe2896b1dadfaaf9fb8a004381f33ec52de98a2338f7",
+    "MCP": "4f7b8a10321003d54e055368e342a4e93f0588b4b9a8b72f0f10d3c835d2e6b4",
+    "MH": "aa09ecf533e498eef07660890d8ce926fea3c903e2b3d1224fb74bdf214037f5",
 }
 #: sha256 of the default-seed suite's analyses, one line per graph: the
 #: clan parse tree, and t-levels, b-levels, ALAP times and the critical
@@ -265,6 +290,32 @@ def schedules_digest(key: str, graphs) -> str:
     return _digest(scheduler.schedule(g).to_dict() for g in graphs)
 
 
+def _random_assignment(graph, k: int, n_processors: int) -> dict:
+    procs = np.random.default_rng(k).integers(0, n_processors, size=graph.n_tasks)
+    return {t: int(p) for t, p in zip(graph.tasks(), procs)}
+
+
+def network_simulations_digest(key: str) -> str:
+    machine = NETWORKS[key]
+    lines = []
+    for k, g in enumerate(_suite_graphs()):
+        assignment = _random_assignment(g, k, machine.n_processors)
+        s = simulate_clustering(g, assignment, machine=machine)
+        s.validate(g, machine)
+        lines.append(sorted(s.to_dict()["placements"]))
+    return _digest(lines)
+
+
+def one_port_simulations_digest(name: str) -> str:
+    lines = []
+    for g in _suite_graphs():
+        assignment = {p.task: p.processor for p in get_scheduler(name).schedule(g)}
+        s = simulate_clustering(g, assignment, machine=ONE_PORT)
+        s.validate(g, ONE_PORT)
+        lines.append([sorted(s.to_dict()["placements"]), [list(x) for x in s.transfers]])
+    return _digest(lines)
+
+
 def _tree(node):
     if node.is_leaf:
         return node.task
@@ -317,8 +368,18 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("key", sorted(MACHINE_SCHEDULES_SHA256))
     def test_machine_schedules(self, key):
         scheduler = MACHINE_SCHEDULERS[key]()
-        got = _digest(scheduler.schedule(g).to_dict() for g in _suite_graphs())
-        assert got == MACHINE_SCHEDULES_SHA256[key]
+        schedules = [scheduler.schedule(g) for g in _suite_graphs()]
+        for g, s in zip(_suite_graphs(), schedules):
+            s.validate(g, scheduler.machine)
+        assert _digest(s.to_dict() for s in schedules) == MACHINE_SCHEDULES_SHA256[key]
+
+    @pytest.mark.parametrize("key", sorted(NETWORK_SIMULATIONS_SHA256))
+    def test_network_simulations(self, key):
+        assert network_simulations_digest(key) == NETWORK_SIMULATIONS_SHA256[key]
+
+    @pytest.mark.parametrize("name", sorted(ONE_PORT_SIMULATIONS_SHA256))
+    def test_one_port_simulations(self, name):
+        assert one_port_simulations_digest(name) == ONE_PORT_SIMULATIONS_SHA256[name]
 
     @pytest.mark.parametrize("key", sorted(TINY_SCHEDULES_SHA256))
     def test_tiny_schedules(self, key):

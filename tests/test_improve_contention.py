@@ -5,11 +5,20 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro import TaskGraph, get_scheduler
+from repro import Machine, TaskGraph, get_scheduler
+from repro.core.simulator import simulate_clustering
 from repro.schedulers.improve import LocalSearchImprover
-from repro.topology.contention import simulate_one_port
 
 from conftest import task_graphs
+
+ONE_PORT = Machine(one_port=True)
+
+
+def _one_port_timing(graph, assignment):
+    """Time ``assignment`` on the one-port machine and check the result."""
+    s = simulate_clustering(graph, assignment, machine=ONE_PORT)
+    s.validate(graph, ONE_PORT)
+    return s
 
 
 class TestLocalSearchImprover:
@@ -54,7 +63,7 @@ class TestLocalSearchImprover:
 
 class TestOnePortContention:
     def test_serial_unaffected(self, chain5):
-        res = simulate_one_port(chain5, {t: 0 for t in chain5.tasks()})
+        res = _one_port_timing(chain5, {t: 0 for t in chain5.tasks()})
         assert res.makespan == chain5.serial_time()
         assert res.transfers == ()
 
@@ -63,8 +72,8 @@ class TestOnePortContention:
         g.add_task("a", 10)
         g.add_task("b", 10)
         g.add_edge("a", "b", 5)
-        res = simulate_one_port(g, {"a": 0, "b": 1})
-        assert res.schedule.start("b") == 15.0
+        res = _one_port_timing(g, {"a": 0, "b": 1})
+        assert res.start("b") == 15.0
         (x,) = res.transfers
         assert (x.start, x.finish) == (10.0, 15.0)
 
@@ -77,8 +86,8 @@ class TestOnePortContention:
             g.add_task(i, 1)
             g.add_edge("src", i, 6)
         assignment = {"src": 0, 0: 1, 1: 2, 2: 3}
-        res = simulate_one_port(g, assignment)
-        starts = sorted(res.schedule.start(i) for i in range(3))
+        res = _one_port_timing(g, assignment)
+        starts = sorted(res.start(i) for i in range(3))
         assert starts == [16.0, 22.0, 28.0]
         # contention-free model would start all three at 16
         from repro.core.simulator import simulate_clustering
@@ -93,32 +102,41 @@ class TestOnePortContention:
             g.add_task(i, 10)
             g.add_edge(i, "sink", 6)
         assignment = {0: 0, 1: 1, 2: 2, "sink": 3}
-        res = simulate_one_port(g, assignment)
+        res = _one_port_timing(g, assignment)
         # three transfers into proc 3 serialize: 16, 22, 28
-        assert res.schedule.start("sink") == 28.0
+        assert res.start("sink") == 28.0
 
     def test_zero_cost_messages_free(self):
         g = TaskGraph()
         g.add_task("a", 5)
         g.add_task("b", 5)
         g.add_edge("a", "b", 0)
-        res = simulate_one_port(g, {"a": 0, "b": 1})
+        res = _one_port_timing(g, {"a": 0, "b": 1})
         assert res.transfers == ()
-        assert res.schedule.start("b") == 5.0
+        assert res.start("b") == 5.0
 
     def test_port_busy_time(self):
         g = TaskGraph()
         g.add_task("a", 10)
         g.add_task("b", 10)
         g.add_edge("a", "b", 7)
-        res = simulate_one_port(g, {"a": 0, "b": 1})
-        assert res.port_busy_time() == 7.0
+        res = _one_port_timing(g, {"a": 0, "b": 1})
+        assert sum(x.finish - x.start for x in res.transfers) == 7.0
+
+    def test_processor_ids_kept(self):
+        g = TaskGraph()
+        g.add_task("a", 10)
+        g.add_task("b", 10)
+        g.add_edge("a", "b", 7)
+        res = _one_port_timing(g, {"a": 5, "b": 9})
+        assert (res.processor_of("a"), res.processor_of("b")) == (5, 9)
+        assert [(x.from_proc, x.to_proc) for x in res.transfers] == [(5, 9)]
 
     def test_bad_assignment(self, diamond):
         from repro import ScheduleError
 
         with pytest.raises(ScheduleError):
-            simulate_one_port(diamond, {"a": 0})
+            _one_port_timing(diamond, {"a": 0})
 
     @given(g=task_graphs(min_tasks=1, max_tasks=10))
     @settings(max_examples=30, deadline=None)
@@ -127,6 +145,6 @@ class TestOnePortContention:
 
         assignment = {t: i % 3 for i, t in enumerate(g.tasks())}
         free = simulate_clustering(g, assignment)
-        port = simulate_one_port(g, assignment)
+        port = _one_port_timing(g, assignment)
         assert port.makespan >= free.makespan - 1e-9
-        port.schedule.validate(g)  # one-port delays only: still model-valid
+        port.validate(g)  # one-port delays only: still model-valid

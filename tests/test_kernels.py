@@ -38,7 +38,13 @@ from repro.core.analysis import (
     validate_levels,
 )
 from repro.core.exceptions import DecompositionError, ScheduleError
-from repro.core.kernels import GraphIndex, b_levels_arr, graph_index, t_levels_arr
+from repro.core.kernels import (
+    GraphIndex,
+    b_levels_arr,
+    graph_index,
+    priority_topo_order_idx,
+    t_levels_arr,
+)
 from repro.core.simulator import simulate_clustering, simulate_ordered
 from repro.generation.random_dag import generate_pdg
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -243,7 +249,12 @@ class TestSimulatorEquivalence:
         s = simulate_clustering(g.copy(), assignment)
         _assert_timing_rule(g, s)
         # the clusters are the b-level priority order, split by processor
-        order = simulator._priority_topological_order(g, b_levels(g))
+        gi = graph_index(g)
+        levels = b_levels(g)
+        order = [
+            gi.tasks[i]
+            for i in priority_topo_order_idx(gi, [levels[t] for t in gi.tasks])
+        ]
         procs = sorted(set(assignment.values()))
         clusters = [[t for t in order if assignment[t] == q] for q in procs]
         assert s.to_dict() == simulate_ordered(g, clusters).to_dict()

@@ -10,18 +10,22 @@ per-heuristic loops the presets replaced, kept here as test-only oracles:
 * ETF's scan of the ready set, one ``best_processor`` call per ready task
   per step;
 * the topology MH's task-keyed free and event heaps;
-* MH1P's task-keyed free heap and per-candidate one-port plan.
+* MH1P's task-keyed free heap and per-candidate one-port plan;
+* HEFT's, HMH's and CPOP's task-keyed loops over a per-processor interval
+  state with speed-scaled durations (CPOP's with its own free heap).
 
 DLS's reference is ``_reference_dls`` in ``tests/test_dls_hlfet.py`` (DLS
 by its definition, one in-edge walk per candidate).  Each must give
-byte-equal ``Schedule.to_dict()`` output, equal MH1P ``last_transfers``
-and equal ``mcp.*`` counter deltas on the default 60-graph Table-1 suite,
-the advbench hunt corpus and hypothesis tie graphs.
+byte-equal ``Schedule.to_dict()`` output, equal MH1P transfers and equal
+``mcp.*`` counter deltas on the default 60-graph Table-1 suite, the
+advbench hunt corpus and hypothesis tie graphs; every machine preset's
+schedule must also pass ``Schedule.validate`` on its machine.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from math import inf
 
 import pytest
@@ -29,8 +33,10 @@ from hypothesis import given, settings
 
 from repro.core.analysis import b_levels_view
 from repro.core.kernels import IndexedPool, b_levels_arr, graph_index
+from repro.core.machine import Machine
 from repro.core.schedule import Schedule
 from repro.core.wire import dumps
+from repro.hetero import CPOPScheduler, HEFTScheduler, HeteroListScheduler
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
 from repro.schedulers import (
     DLSScheduler,
@@ -250,7 +256,7 @@ def _reference_port_aware(graph, max_processors):
             recv_free.append(0.0)
         for q, xfer, arrival, pred in reservations:
             send_free[q] = max(send_free[q], arrival)
-            transfers.append((pred, task, xfer, arrival))
+            transfers.append((pred, task, xfer, arrival, q, proc))
         recv_free[proc] = max(recv_free[proc], recv_cursor)
         schedule.place(task, proc, start, graph.weight(task))
         proc_free[proc] = schedule.finish(task)
@@ -262,15 +268,137 @@ def _reference_port_aware(graph, max_processors):
     return schedule, transfers
 
 
+class _MachineState:
+    """HEFT's, HMH's and CPOP's per-processor intervals with speed-scaled
+    durations, task-keyed."""
+
+    def __init__(self, graph, speeds):
+        self.graph = graph
+        self.speeds = speeds
+        self.intervals = [[] for _ in speeds]
+        self.schedule = Schedule()
+        self.proc_of = {}
+
+    def exec_time(self, task, proc):
+        return self.graph.weight(task) / self.speeds[proc]
+
+    def est(self, task, proc, insertion):
+        duration = self.exec_time(task, proc)
+        ready = 0.0
+        for pred, c in self.graph.in_edges(task).items():
+            arrival = self.schedule.finish(pred)
+            if self.proc_of[pred] != proc:
+                arrival += c
+            ready = max(ready, arrival)
+        row = self.intervals[proc]
+        if not insertion:
+            return max(row[-1][1] if row else 0.0, ready)
+        cursor = ready
+        for start, finish in row:
+            # the pool's rule: no start past the interval's (a task shorter
+            # than 1e-12 once slipped inside a longer one)
+            if cursor + duration <= start + 1e-12 and cursor <= start:
+                return cursor
+            if finish > cursor:
+                cursor = finish
+        return max(cursor, ready)
+
+    def earliest_finish(self, task, insertion):
+        best_p, best_finish, best_start = 0, inf, 0.0
+        for p in range(len(self.speeds)):
+            start = self.est(task, p, insertion)
+            finish = start + self.exec_time(task, p)
+            if finish < best_finish - 1e-12:
+                best_p, best_finish, best_start = p, finish, start
+        return best_p, best_start
+
+    def place(self, task, proc, start):
+        duration = self.exec_time(task, proc)
+        self.schedule.place(task, proc, start, duration)
+        insort(self.intervals[proc], (start, start + duration))
+        self.proc_of[task] = proc
+
+
+def _mean_exec(graph, speeds, task):
+    return sum(graph.weight(task) / s for s in speeds) / len(speeds)
+
+
+def _reference_upward_ranks(graph, speeds):
+    ranks = {}
+    for t in reversed(graph.topological_order()):
+        best = 0.0
+        for s, c in graph.out_edges(t).items():
+            best = max(best, c + ranks[s])
+        ranks[t] = _mean_exec(graph, speeds, t) + best
+    return ranks
+
+
+def _reference_heft(graph, speeds, insertion, earliest_finish):
+    """HEFT's loop (``earliest_finish``) or HMH's (earliest start)."""
+    ranks = _reference_upward_ranks(graph, speeds)
+    topo_pos = {t: i for i, t in enumerate(graph.topological_order())}
+    state = _MachineState(graph, speeds)
+    for task in sorted(graph.tasks(), key=lambda t: (-ranks[t], topo_pos[t])):
+        if earliest_finish:
+            proc, start = state.earliest_finish(task, insertion)
+        else:
+            proc, start = 0, inf
+            for p in range(len(speeds)):
+                s = state.est(task, p, False)
+                if s < start - 1e-12:
+                    proc, start = p, s
+        state.place(task, proc, start)
+    return state.schedule
+
+
+def _reference_cpop(graph, speeds):
+    """CPOP's loop.  It sums the critical path's work in task order; the
+    old loop summed a set, in hash order, which can only move the last bit
+    of a sum that decides the CP processor between near-equal speeds."""
+    up = _reference_upward_ranks(graph, speeds)
+    down = {}
+    for t in graph.topological_order():
+        down[t] = max(
+            (down[p] + _mean_exec(graph, speeds, p) + c
+             for p, c in graph.in_edges(t).items()),
+            default=0.0,
+        )
+    priority = {t: up[t] + down[t] for t in graph.tasks()}
+    cp_value = max(up[t] for t in graph.tasks() if graph.in_degree(t) == 0)
+    critical = [t for t in graph.tasks() if abs(priority[t] - cp_value) < 1e-9]
+    cp_work = sum(graph.weight(t) for t in critical)
+    cp_proc = min(range(len(speeds)), key=lambda p: (cp_work / speeds[p], p))
+    state = _MachineState(graph, speeds)
+    seq = {t: i for i, t in enumerate(graph.topological_order())}
+    n_sched_preds = {t: 0 for t in graph.tasks()}
+    ready = [(-priority[t], seq[t], t) for t in graph.tasks() if graph.in_degree(t) == 0]
+    heapq.heapify(ready)
+    while ready:
+        _, _, task = heapq.heappop(ready)
+        if task in critical:
+            proc, start = cp_proc, state.est(task, cp_proc, True)
+        else:
+            proc, start = state.earliest_finish(task, True)
+        state.place(task, proc, start)
+        for succ in graph.successors(task):
+            n_sched_preds[succ] += 1
+            if n_sched_preds[succ] == graph.in_degree(succ):
+                heapq.heappush(ready, (-priority[succ], seq[succ], succ))
+    return state.schedule
+
+
 # ----------------------------------------------------------------------
-# the configurations: (name, preset run, reference run)
+# the configurations: (name, preset run, reference run, machine)
 # ----------------------------------------------------------------------
 def _port_aware(max_processors):
     def run(graph):
-        scheduler = PortAwareScheduler(max_processors=max_processors)
-        return scheduler.schedule(graph), scheduler.last_transfers
+        schedule = PortAwareScheduler(max_processors=max_processors).schedule(graph)
+        return schedule, list(schedule.transfers)
 
     return run
+
+
+SPEEDS = (1.0, 1.0, 2.0, 4.0)
 
 
 def _configs():
@@ -293,36 +421,55 @@ def _configs():
             (f"DLS({cap})", DLSScheduler(max_processors=cap).schedule,
              lambda g, cap=cap: _reference_dls(g, cap)),
         ]
+    configs = [(*config, None) for config in configs]
     for topo in (Ring(8), Star(8), Mesh2D(2, 4), Hypercube(3), FullyConnected(4)):
+        machine = Machine(network=topo)
         configs.append(
-            (f"MH@{topo!r}", TopologyMHScheduler(topo).schedule,
-             lambda g, topo=topo: _reference_topology_mh(g, topo))
+            (f"MH@{topo!r}", TopologyMHScheduler(machine).schedule,
+             lambda g, topo=topo: _reference_topology_mh(g, topo), machine)
         )
     for cap in (None, 1, 3):
         configs.append(
             (f"MH1P({cap})", _port_aware(cap),
-             lambda g, cap=cap: _reference_port_aware(g, cap))
+             lambda g, cap=cap: _reference_port_aware(g, cap),
+             PortAwareScheduler.machine)
         )
+    for speeds in (SPEEDS, (1.0,) * 3):
+        machine = Machine(speeds)
+        configs += [
+            (f"HEFT{speeds}", HEFTScheduler(machine).schedule,
+             lambda g, sp=speeds: _reference_heft(g, sp, True, True), machine),
+            (f"HEFT(insertion=False){speeds}",
+             HEFTScheduler(machine, insertion=False).schedule,
+             lambda g, sp=speeds: _reference_heft(g, sp, False, True), machine),
+            (f"HMH{speeds}", HeteroListScheduler(machine).schedule,
+             lambda g, sp=speeds: _reference_heft(g, sp, False, False), machine),
+            (f"CPOP{speeds}", CPOPScheduler(machine).schedule,
+             lambda g, sp=speeds: _reference_cpop(g, sp), machine),
+        ]
     return configs
 
 
 CONFIGS = _configs()
-NAMES = [name for name, _, _ in CONFIGS]
+NAMES = [name for name, *_ in CONFIGS]
 HUNT = [g for _, g in hunt_graphs()]
 
 
-def _outcome(run, graph) -> tuple:
-    """The schedule's bytes, MH1P's transfers and the ``mcp.*`` counters."""
+def _outcome(run, graph, machine=None) -> tuple:
+    """The schedule's bytes, MH1P's transfers and the ``mcp.*`` counters;
+    a preset's schedule is validated on its machine first."""
     with use_registry(MetricsRegistry()) as registry:
         got = run(graph)
     schedule, transfers = got if isinstance(got, tuple) else (got, None)
+    if machine is not None:
+        schedule.validate(graph, machine)
     counters = {k: v for k, v in registry.counters().items() if k.startswith("mcp.")}
     return dumps(schedule.to_dict()), transfers, counters
 
 
-def _assert_same(name, run, reference, graphs):
+def _assert_same(name, run, reference, machine, graphs):
     for k, g in enumerate(graphs):
-        assert _outcome(run, g) == _outcome(reference, g), (name, k)
+        assert _outcome(run, g, machine) == _outcome(reference, g), (name, k)
 
 
 class TestPresetsMatchTheirLoops:

@@ -5,12 +5,23 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro import TaskGraph, get_scheduler, paper_schedulers
+from repro import Machine, TaskGraph, get_scheduler, paper_schedulers
 from repro.core.analysis import critical_path_length
+from repro.hetero import CPOPScheduler, HEFTScheduler, HeteroListScheduler
+from repro.topology import PortAwareScheduler, Ring, TopologyMHScheduler
 
 from conftest import task_graphs
 
 ALL = ["CLANS", "DSC", "MCP", "MH", "HU", "ETF", "DLS", "HLFET", "LC", "EZ"]
+_SPEEDS = Machine([1, 1, 2, 4])
+#: The schedulers of the other machines, each knowing its machine.
+MACHINE_SCHEDULERS = {
+    "HEFT": lambda: HEFTScheduler(_SPEEDS),
+    "HMH": lambda: HeteroListScheduler(_SPEEDS),
+    "CPOP": lambda: CPOPScheduler(_SPEEDS),
+    "MH1P": PortAwareScheduler,
+    "MH@Ring4": lambda: TopologyMHScheduler(Machine(network=Ring(4))),
+}
 
 
 def scaled(graph: TaskGraph, factor: float) -> TaskGraph:
@@ -35,6 +46,21 @@ class TestScaleInvariance:
         base = sched.schedule(g).makespan
         doubled = sched.schedule(scaled(g, 2.0)).makespan
         assert doubled == pytest.approx(2.0 * base)
+
+    @given(g=task_graphs(min_tasks=1, max_tasks=10))
+    @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize("name", sorted(MACHINE_SCHEDULERS))
+    def test_machine_makespan_scales_exactly(self, name, g):
+        """Speeds divide and hops multiply every time by the same factor
+        on both graphs, so the doubled graph's schedule is the same one,
+        twice as long, on every machine."""
+        sched = MACHINE_SCHEDULERS[name]()
+        doubled_graph = scaled(g, 2.0)
+        base = sched.schedule(g)
+        doubled = sched.schedule(doubled_graph)
+        base.validate(g, sched.machine)
+        doubled.validate(doubled_graph, sched.machine)
+        assert doubled.makespan == 2.0 * base.makespan
 
     @given(g=task_graphs(min_tasks=1, max_tasks=10))
     @settings(max_examples=20, deadline=None)

@@ -2,12 +2,56 @@
 
 from __future__ import annotations
 
+from math import inf
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import ETFScheduler, GraphError, OptimalScheduler, TaskGraph, paper_schedulers
+from repro import (
+    ETFScheduler,
+    GraphError,
+    OptimalScheduler,
+    ScheduleError,
+    TaskGraph,
+    paper_schedulers,
+)
+from repro.core.simulator import simulate_ordered
+from repro.generation.random_dag import generate_pdg
 
 from conftest import task_graphs
+
+
+def _clusterings(tasks: list):
+    """Every set partition of ``tasks`` with every order inside each block,
+    each once: the last task joins any block at any position, or opens a
+    block of its own after the others."""
+    if not tasks:
+        yield []
+        return
+    *rest, last = tasks
+    for clusters in _clusterings(rest):
+        for k, cluster in enumerate(clusters):
+            for pos in range(len(cluster) + 1):
+                yield [
+                    *clusters[:k],
+                    [*cluster[:pos], last, *cluster[pos:]],
+                    *clusters[k + 1 :],
+                ]
+        yield [*clusters, [last]]
+
+
+def _enumerated_optimum(graph: TaskGraph) -> float:
+    """The smallest makespan over every clustering, each timed
+    semi-actively by the shared simulator; orders that deadlock against
+    precedence are skipped."""
+    best = inf
+    for clusters in _clusterings(graph.tasks()):
+        try:
+            best = min(best, simulate_ordered(graph, clusters, validate=False).makespan)
+        except ScheduleError:
+            continue
+    return best
 
 
 class TestOptimal:
@@ -44,7 +88,7 @@ class TestOptimal:
     @given(g=task_graphs(min_tasks=1, max_tasks=6))
     @settings(max_examples=40, deadline=None)
     def test_never_beaten_by_heuristics(self, g):
-        """The oracle lower-bounds every heuristic (within non-delay class)."""
+        """The oracle lower-bounds every heuristic."""
         opt = OptimalScheduler().schedule(g)
         opt.validate(g)
         for sched in paper_schedulers():
@@ -56,6 +100,37 @@ class TestOptimal:
     def test_never_worse_than_serial(self, g):
         opt = OptimalScheduler().schedule(g)
         assert opt.makespan <= g.serial_time() + 1e-9
+
+
+class TestOptimalIsExact:
+    """OPT equals the optimum over every assignment and processor order
+    (DESIGN.md section 2), up to its 1e-12 pruning margin."""
+
+    def _check(self, g):
+        opt = OptimalScheduler().schedule(g).makespan
+        best = _enumerated_optimum(g)
+        assert best <= opt <= best + 1e-12
+
+    def test_enumeration_counts(self):
+        # the ordered set partitions of n items: 1, 3, 13, 73, 501, 4051
+        counts = [sum(1 for _ in _clusterings(list(range(n)))) for n in range(1, 7)]
+        assert counts == [1, 3, 13, 73, 501, 4051]
+
+    @given(g=task_graphs(min_tasks=1, max_tasks=6))
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_graphs(self, g):
+        self._check(g)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_pdgs(self, seed):
+        g = generate_pdg(
+            np.random.default_rng(seed),
+            n_tasks=3 + seed % 4,
+            band=seed % 5,
+            anchor=2,
+            weight_range=(20, 100),
+        )
+        self._check(g)
 
 
 class TestETF:

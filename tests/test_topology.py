@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro import MHScheduler, ScheduleError, TaskGraph
+from repro import Machine, MHScheduler, ScheduleError, TaskGraph
+from repro.core.simulator import simulate_clustering
 from repro.topology import (
     FullyConnected,
     Hypercube,
@@ -13,8 +14,6 @@ from repro.topology import (
     Ring,
     Star,
     TopologyMHScheduler,
-    simulate_on_topology,
-    validate_on_topology,
 )
 
 from conftest import task_graphs
@@ -72,83 +71,94 @@ class TestNetworks:
             Hypercube(-1)
 
 
-class TestSimulateOnTopology:
-    def test_hop_scaled_arrival(self):
-        g = TaskGraph()
-        g.add_task("a", 10)
-        g.add_task("b", 10)
-        g.add_edge("a", "b", 5)
-        ring = Ring(6)
-        s = simulate_on_topology(g, {"a": 0, "b": 3}, ring)
-        assert s.start("b") == 10 + 5 * 3
-        validate_on_topology(s, g, ring)
+def _pair(cost: float = 5) -> TaskGraph:
+    g = TaskGraph()
+    g.add_task("a", 10)
+    g.add_task("b", 10)
+    g.add_edge("a", "b", cost)
+    return g
 
-    def test_same_processor_free(self):
-        g = TaskGraph()
-        g.add_task("a", 10)
-        g.add_task("b", 10)
-        g.add_edge("a", "b", 5)
-        s = simulate_on_topology(g, {"a": 2, "b": 2}, Ring(6))
+
+class TestSimulateOnNetwork:
+    def test_hop_scaled_arrival(self):
+        g = _pair()
+        ring = Machine(network=Ring(6))
+        s = simulate_clustering(g, {"a": 0, "b": 3}, machine=ring)
+        assert s.start("b") == 10 + 5 * 3
+        s.validate(g, ring)
+
+    def test_same_processor_free_and_ids_kept(self):
+        g = _pair()
+        s = simulate_clustering(g, {"a": 2, "b": 2}, machine=Machine(network=Ring(6)))
         assert s.start("b") == 10.0
+        # a fixed machine keeps the assignment's processors; the paper's
+        # identical clique renumbers them
+        assert s.processor_of("b") == 2
+        assert simulate_clustering(g, {"a": 2, "b": 2}).processor_of("b") == 0
 
     def test_clique_matches_uniform_simulator(self, paper_example):
-        from repro.core.simulator import simulate_clustering
-
         assignment = {1: 0, 2: 1, 3: 0, 4: 1, 5: 0}
         uniform = simulate_clustering(paper_example, assignment)
-        topo = simulate_on_topology(paper_example, assignment, FullyConnected(2))
+        topo = simulate_clustering(
+            paper_example, assignment, machine=Machine(network=FullyConnected(2))
+        )
         assert uniform.makespan == pytest.approx(topo.makespan)
 
     def test_bad_assignment(self, diamond):
+        ring = Machine(network=Ring(3))
         with pytest.raises(ScheduleError):
-            simulate_on_topology(diamond, {"a": 0}, Ring(3))
-        with pytest.raises(ScheduleError):
-            simulate_on_topology(
-                diamond, {t: 9 for t in diamond.tasks()}, Ring(3)
-            )
+            simulate_clustering(diamond, {"a": 0}, machine=ring)
+        with pytest.raises(ScheduleError, match="outside"):
+            simulate_clustering(diamond, {t: 9 for t in diamond.tasks()}, machine=ring)
 
     def test_validation_catches_violation(self):
-        g = TaskGraph()
-        g.add_task("a", 10)
-        g.add_task("b", 10)
-        g.add_edge("a", "b", 5)
+        g = _pair()
         from repro import Schedule
 
         s = Schedule()
         s.place("a", 0, 0.0, 10.0)
         s.place("b", 3, 16.0, 10.0)  # needs 10 + 15 on a 6-ring
-        with pytest.raises(ScheduleError, match="network"):
-            validate_on_topology(s, g, Ring(6))
+        s.validate(g)  # one hop on the paper's clique
+        with pytest.raises(ScheduleError, match="arrives at 25.0"):
+            s.validate(g, Machine(network=Ring(6)))
 
 
 class TestTopologyMH:
     def test_clique_reduces_to_bounded_mh(self, paper_example, diamond, wide_fork):
         for g in (paper_example, diamond, wide_fork):
             for p in (2, 3):
-                topo = TopologyMHScheduler(FullyConnected(p)).schedule(g)
+                machine = Machine(network=FullyConnected(p))
+                topo = TopologyMHScheduler(machine).schedule(g)
+                topo.validate(g, machine)
                 plain = MHScheduler(max_processors=p).schedule(g)
                 assert topo.makespan == pytest.approx(plain.makespan)
 
     def test_valid_on_all_networks(self, paper_example, wide_fork):
         for net in (Ring(4), Mesh2D(2, 2), Hypercube(2), Star(4)):
+            machine = Machine(network=net)
             for g in (paper_example, wide_fork):
-                s = TopologyMHScheduler(net).schedule(g)
-                validate_on_topology(s, g, net)
+                s = TopologyMHScheduler(machine).schedule(g)
+                s.validate(g, machine)
 
     def test_sparser_networks_never_faster(self, wide_fork):
         """With the same processor count, adding hops cannot help."""
-        clique = TopologyMHScheduler(FullyConnected(8)).schedule(wide_fork)
-        ring = TopologyMHScheduler(Ring(8)).schedule(wide_fork)
-        star = TopologyMHScheduler(Star(8)).schedule(wide_fork)
+        def run(net):
+            machine = Machine(network=net)
+            s = TopologyMHScheduler(machine).schedule(wide_fork)
+            s.validate(wide_fork, machine)
+            return s
+
+        clique, ring, star = run(FullyConnected(8)), run(Ring(8)), run(Star(8))
         assert clique.makespan <= ring.makespan + 1e-9
         assert clique.makespan <= star.makespan + 1e-9
 
     def test_name(self):
-        assert TopologyMHScheduler(Ring(8)).name == "MH@Ring8"
+        assert TopologyMHScheduler(Machine(network=Ring(8))).name == "MH@Ring8"
+        assert TopologyMHScheduler(Machine([1, 2])).name == "MH@2"
 
     @given(g=task_graphs(min_tasks=1, max_tasks=10))
     @settings(max_examples=25, deadline=None)
     def test_property_valid_on_ring(self, g):
-        net = Ring(3)
-        s = TopologyMHScheduler(net).schedule(g)
-        validate_on_topology(s, g, net)
+        machine = Machine(network=Ring(3))
+        s = TopologyMHScheduler(machine).schedule(g)
+        s.validate(g, machine)
