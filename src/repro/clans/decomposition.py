@@ -44,6 +44,14 @@ CLANS does) builds no set per clan.  ``tests/test_kernels.py`` keeps a
 numpy implementation vectorized over the int8 relation matrix, and
 ``tests/test_index_references.py`` the task-keyed parse with a frozenset
 per clan, as test-only references that must produce the identical tree.
+
+A clan is defined by ancestor, descendant and unrelated relations alone,
+so the parse reads no weight.  :func:`decompose` memoizes it in the graph's
+shape table (:meth:`~repro.core.taskgraph.TaskGraph.shape_cached`): a copy
+or a weight-only edit of a parsed graph reuses the same tree, and only a
+structural edit parses again.  Each computed parse counts once in the
+``clans.parses`` counter, so ``clans.parses`` against the calls that asked
+for a parse (``scheduler.CLANS``) shows the reuse.
 """
 
 from __future__ import annotations
@@ -51,10 +59,14 @@ from __future__ import annotations
 from ..core.exceptions import DecompositionError
 from ..core.kernels import GraphIndex, graph_index
 from ..core.taskgraph import Task, TaskGraph
+from ..obs.metrics import get_registry
 from .parse_tree import ClanKind, ClanNode
 from .relations import RelationMatrix
 
-__all__ = ["decompose", "is_clan", "clan_parse_tree"]
+__all__ = ["decompose", "discard_parse", "is_clan", "clan_parse_tree"]
+
+#: Shape-table key of the memoized parse.
+_PARSE_KEY = "clans.parse"
 
 
 def clan_parse_tree(graph: TaskGraph) -> ClanNode:
@@ -63,14 +75,35 @@ def clan_parse_tree(graph: TaskGraph) -> ClanNode:
 
 
 def decompose(graph: TaskGraph) -> ClanNode:
-    """Compute the clan parse tree of a DAG.
+    """The clan parse tree of a DAG, parsed once per graph shape.
 
     Raises :class:`DecompositionError` for an empty graph (no parse exists).
     Every node carries its vertex bitmask over ``graph``'s topological order
     (:class:`ClanNode`), which is also ``graph_index(graph).topo_list``'s.
+
+    The tree is memoized in ``graph``'s shape table, so the same tree object
+    comes back for this graph, for its copies and after weight-only edits,
+    until a structural edit.  It is shared and read-only: callers must not
+    change any node's children, kind, task or mask.
     """
     if graph.n_tasks == 0:
         raise DecompositionError("cannot decompose an empty graph")
+    return graph.shape_cached(_PARSE_KEY, lambda: _parse(graph))
+
+
+def discard_parse(graph: TaskGraph) -> None:
+    """Drop ``graph``'s memoized parse, if any.
+
+    Eviction hook for size-bounded caches (the service's LRU graph cache),
+    beside :func:`repro.core.kernels.discard_index`: a long-lived graph
+    object otherwise pins its parse for life.  The next :func:`decompose`
+    call parses again.
+    """
+    graph.uncache(_PARSE_KEY)
+
+
+def _parse(graph: TaskGraph) -> ClanNode:
+    get_registry().inc("clans.parses")
     gi = graph_index(graph)
     br = _BitRelations(gi)
     order = [gi.tasks[i] for i in gi.topo_list]

@@ -39,24 +39,48 @@ class TaskGraph:
     construction quadratic); call :meth:`validate` or :meth:`topological_order`
     to check.  All library entry points validate their inputs.
 
-    Derived-value caching: expensive read-only analyses (topological order,
-    validation, the path analyses of :mod:`repro.core.analysis`) are memoized
-    per graph through :meth:`cached`.  Every mutation (:meth:`add_task`,
-    :meth:`add_edge`, :meth:`remove_edge`, :meth:`remove_task`) bumps
-    :attr:`version` and drops the memo table, so a stale value can never be
-    observed — see DESIGN.md "Caching and invalidation".
+    Derived-value caching: expensive read-only analyses are memoized per
+    graph in two tables, split by what a value reads — see DESIGN.md
+    "Caching and invalidation".
+
+    * The **version table** (:meth:`cached`) holds every value that reads a
+      weight: validation, the compiled index, the levels and the path
+      analyses of :mod:`repro.core.analysis`.  Every mutation
+      (:meth:`add_task`, :meth:`add_edge`, :meth:`remove_edge`,
+      :meth:`remove_task`) bumps :attr:`version` and drops it.
+    * The **shape table** (:meth:`shape_cached`) holds values computed from
+      the tasks, the edges and their insertion order alone: the topological
+      order and the clan parse.  A weight-only edit (re-adding an existing
+      task or edge) keeps it, and :meth:`copy` shares it.  A structural
+      edit (a new task or edge, a removed edge or task) gives the graph a
+      new, empty shape table; the old one is never cleared in place, since
+      copies taken before the edit may still use it.
+
+    Either way a stale value can never be observed.
     """
 
-    __slots__ = ("_succ", "_pred", "_weight", "_version", "_scratch", "_cache_lock")
+    __slots__ = (
+        "_succ",
+        "_pred",
+        "_weight",
+        "_version",
+        "_version_memo",
+        "_shape_memo",
+        "_cache_lock",
+    )
 
     def __init__(self) -> None:
         self._succ: dict[Task, dict[Task, float]] = {}
         self._pred: dict[Task, dict[Task, float]] = {}
         self._weight: dict[Task, float] = {}
-        #: Mutation counter; bumped (and the memo table dropped) on any change.
+        #: Mutation counter; bumped (and the version table dropped) on any change.
         self._version: int = 0
-        #: Memo table for derived values; keys are owned by the computing code.
-        self._scratch: dict[Any, Any] = {}
+        #: Version table: values that read a weight; keys are owned by the
+        #: computing code.
+        self._version_memo: dict[Any, Any] = {}
+        #: Shape table: values that read only tasks, edges and their order.
+        #: Shared by copies, so a structural edit replaces it, never clears it.
+        self._shape_memo: dict[Any, Any] = {}
         #: Serializes memo misses so concurrent readers never compute twice.
         self._cache_lock = threading.RLock()
 
@@ -65,25 +89,39 @@ class TaskGraph:
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
-        """Monotonic mutation counter (bumped by every structural change).
+        """Monotonic mutation counter (bumped by every mutation, weight-only
+        edits included).
 
-        Equal versions on the same object guarantee identical structure, so
-        externally-held analyses (:class:`repro.core.analysis.GraphAnalysis`)
-        can stamp-check their memos.
+        Equal versions on the same object guarantee identical structure and
+        weights, so externally-held analyses
+        (:class:`repro.core.analysis.GraphAnalysis`) can stamp-check their
+        memos.
         """
         return self._version
 
-    def _mutated(self) -> None:
+    def _reweighted(self) -> None:
+        """A weight-only edit: a new version of the same shape."""
         self._version += 1
-        if self._scratch:
-            self._scratch.clear()
+        if self._version_memo:
+            self._version_memo.clear()
+
+    def _restructured(self) -> None:
+        """A structural edit: a new version and a new shape.
+
+        The shape table is replaced, not cleared: a copy may still share the
+        old one, and clearing it would let that copy's later values leak
+        into this graph.
+        """
+        self._reweighted()
+        self._shape_memo = {}
 
     def cached(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """Return the memoized value for ``key``, computing it on first use.
 
-        The memo table is invalidated wholesale by any mutation.  Values are
-        returned by reference: callers must treat them as immutable (the
-        analysis helpers copy before handing values out to user code).
+        Memoized in the version table, which any mutation drops wholesale:
+        use it for every value that reads a weight.  Values are returned by
+        reference: callers must treat them as immutable (the analysis
+        helpers copy before handing values out to user code).
 
         Thread safety: the hit path is a lock-free dict read; misses are
         serialized under a per-graph reentrant lock (reentrant because
@@ -95,33 +133,61 @@ class TaskGraph:
         for any mutable container.
         """
         try:
-            return self._scratch[key]
+            return self._version_memo[key]
         except KeyError:
             pass
         with self._cache_lock:
             try:
-                return self._scratch[key]
+                return self._version_memo[key]
             except KeyError:
-                value = self._scratch[key] = compute()
+                value = self._version_memo[key] = compute()
                 return value
 
+    def shape_cached(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """Return the shape-memoized value for ``key``, computing it on
+        first use.
+
+        Memoized in the shape table, for values that are pure functions of
+        the tasks, the edges and their insertion order: ``compute`` must
+        read no weight.  The value survives weight-only edits and is shared
+        with every :meth:`copy` of the same shape, so callers must treat it
+        as immutable.  Misses are serialized under this graph's lock, as in
+        :meth:`cached`; a copy computing the same key concurrently under
+        its own lock may compute it twice, but the first value stored is
+        the one every sharer gets.
+        """
+        table = self._shape_memo
+        try:
+            return table[key]
+        except KeyError:
+            pass
+        with self._cache_lock:
+            try:
+                return table[key]
+            except KeyError:
+                return table.setdefault(key, compute())
+
     def has_cached(self, key: Hashable) -> bool:
-        """Whether ``key`` is currently memoized (lock-free probe).
+        """Whether ``key`` is currently memoized in either table (lock-free
+        probe).
 
         Lets batch producers (:func:`repro.core.batch.batch_analyze`) skip
         graphs whose analyses are already primed without recomputing them.
         """
-        return key in self._scratch
+        return key in self._version_memo or key in self._shape_memo
 
     def uncache(self, key: Hashable) -> None:
-        """Drop one memoized entry (no-op if absent).
+        """Drop one memoized entry from either table (no-op if absent).
 
         Eviction hook for externally size-bounded caches — e.g. the service
-        evicting a compiled :class:`~repro.core.kernels.GraphIndex` for a
-        graph object that stays alive.
+        evicting a compiled :class:`~repro.core.kernels.GraphIndex` or a
+        clan parse for a graph object that stays alive.  A shape entry is
+        dropped for every copy sharing the table; they recompute it on
+        their next read.
         """
         with self._cache_lock:
-            self._scratch.pop(key, None)
+            self._version_memo.pop(key, None)
+            self._shape_memo.pop(key, None)
 
     # ------------------------------------------------------------------
     # construction
@@ -129,20 +195,25 @@ class TaskGraph:
     def add_task(self, task: Task, weight: float = 1.0) -> None:
         """Add a task with the given execution weight.
 
-        Re-adding an existing task updates its weight in place.
+        Re-adding an existing task updates its weight in place: a
+        weight-only edit, which keeps the shape table.
         """
         _check_weight(weight, "task weight")
-        if task not in self._weight:
-            self._succ[task] = {}
-            self._pred[task] = {}
+        if task in self._weight:
+            self._weight[task] = float(weight)
+            self._reweighted()
+            return
+        self._succ[task] = {}
+        self._pred[task] = {}
         self._weight[task] = float(weight)
-        self._mutated()
+        self._restructured()
 
     def add_edge(self, u: Task, v: Task, weight: float = 0.0) -> None:
         """Add a dependence edge ``u -> v`` with the given communication cost.
 
         Both endpoints must already exist.  Re-adding an edge updates its
-        weight.  Self loops are rejected.
+        weight in place: a weight-only edit, which keeps the shape table.
+        Self loops are rejected.
         """
         if u == v:
             raise GraphError(f"self loop on task {u!r}")
@@ -151,9 +222,14 @@ class TaskGraph:
         if v not in self._weight:
             raise GraphError(f"unknown task {v!r}")
         _check_weight(weight, "edge weight")
-        self._succ[u][v] = float(weight)
+        row = self._succ[u]
+        new = v not in row
+        row[v] = float(weight)
         self._pred[v][u] = float(weight)
-        self._mutated()
+        if new:
+            self._restructured()
+        else:
+            self._reweighted()
 
     def remove_edge(self, u: Task, v: Task) -> None:
         """Remove the edge ``u -> v``; error if absent."""
@@ -162,7 +238,7 @@ class TaskGraph:
             del self._pred[v][u]
         except KeyError:
             raise GraphError(f"no edge {u!r} -> {v!r}") from None
-        self._mutated()
+        self._restructured()
 
     def remove_task(self, task: Task) -> None:
         """Remove a task and all incident edges."""
@@ -175,7 +251,7 @@ class TaskGraph:
         del self._succ[task]
         del self._pred[task]
         del self._weight[task]
-        self._mutated()
+        self._restructured()
 
     @classmethod
     def from_weights(
@@ -192,11 +268,18 @@ class TaskGraph:
         return g
 
     def copy(self) -> "TaskGraph":
-        """An independent deep copy."""
+        """An independent deep copy.
+
+        The copy shares this graph's shape table (:meth:`shape_cached`), so
+        a topological order or clan parse computed on either is reused by
+        the other until one of them is edited structurally.  Its version
+        table starts empty.
+        """
         g = TaskGraph()
         g._weight = dict(self._weight)
         g._succ = {u: dict(d) for u, d in self._succ.items()}
         g._pred = {u: dict(d) for u, d in self._pred.items()}
+        g._shape_memo = self._shape_memo
         return g
 
     def subgraph(self, tasks: Iterable[Task]) -> "TaskGraph":
@@ -335,10 +418,12 @@ class TaskGraph:
         """Kahn's algorithm; raises :class:`CycleError` on a cycle.
 
         Deterministic for a given construction order (insertion order of the
-        underlying dicts is preserved).  The order is computed once per graph
-        version and memoized; callers receive a fresh list each call.
+        underlying dicts is preserved).  The order reads no weight, so it is
+        computed once per shape and memoized in the shape table (kept by
+        weight-only edits and shared with copies); callers receive a fresh
+        list each call.
         """
-        return list(self.cached("topological_order", self._topological_order))
+        return list(self.shape_cached("topological_order", self._topological_order))
 
     def _topological_order(self) -> list[Task]:
         indeg = {t: len(self._pred[t]) for t in self._weight}
@@ -368,7 +453,8 @@ class TaskGraph:
 
         A successful validation is memoized per graph version, so repeated
         validation of an unmutated graph (every scheduler validates its
-        input) is O(1) after the first call.
+        input) is O(1) after the first call.  Each version runs the edge
+        check; its acyclicity check reads the shape-memoized order.
         """
         self.cached("validated", self._validate)
 
@@ -481,9 +567,10 @@ class TaskGraph:
     def __getstate__(self) -> dict[str, Any]:
         """Pickle only the primary structure.
 
-        The predecessor map is derivable and the memo table is process-local
-        state, so both are dropped — this keeps the payloads the parallel
-        suite runner ships to worker processes minimal.
+        The predecessor map is derivable and both memo tables are
+        process-local state, so they are dropped (an unpickled graph starts
+        fresh tables) — this keeps the payloads the parallel suite runner
+        ships to worker processes minimal.
         """
         return {"weight": self._weight, "succ": self._succ}
 
@@ -495,7 +582,8 @@ class TaskGraph:
             for v, w in d.items():
                 self._pred[v][u] = w
         self._version = 0
-        self._scratch = {}
+        self._version_memo = {}
+        self._shape_memo = {}
         self._cache_lock = threading.RLock()
 
     def __repr__(self) -> str:

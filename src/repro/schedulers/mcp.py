@@ -7,16 +7,20 @@ Appendix A.2 / Figure 9 of the paper.  The heuristic:
    smallest ``T_L``;
 2. associates with every task the sorted list of the ``T_L`` values of the
    task and all its descendants, and orders tasks by lexicographic
-   comparison of those lists — most critical first.  (The paper's Figure 9
-   says "sort in decreasing order and schedule head(L)", which would place
-   sinks before their predecessors; we follow the published MCP ordering —
-   smallest ALAP first — which is also a topological order, see DESIGN.md.)
+   comparison of those lists — most critical first — taking each next task
+   from those whose predecessors are all placed, so the order is
+   topological.  (The paper's Figure 9 says "sort in decreasing order and
+   schedule head(L)", which would place sinks before their predecessors; we
+   follow the published MCP ordering — smallest ALAP first — see
+   DESIGN.md.)
 3. places each task, in that order, on the processor (existing or fresh)
    giving the earliest start time, with idle-slot insertion
    (:func:`~repro.schedulers.listsched.place_in_order`).
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from ..core.kernels import (
     GraphIndex,
@@ -79,11 +83,17 @@ class MCPScheduler(Scheduler):
     def _priority_order_ids(graph: TaskGraph, gi: GraphIndex) -> list[int]:
         """Ids ordered most-critical-first by (own ALAP, descendant ALAPs).
 
-        Remaining ties go to the smaller id (insertion order).  Every
-        ancestor has a strictly smaller ALAP time than its descendants (node
-        weights are positive along the connecting path), so the order is
-        topological.  Descendant sets come from one reverse-topological
-        bitmask sweep.
+        Remaining ties go to the smaller id (insertion order).  The keys
+        are popped through a ready set, as
+        :func:`~repro.core.kernels.priority_topo_order_idx` pops levels: a
+        task becomes ready once all its predecessors are taken, so the
+        order is topological by construction.  A sort by key alone is not:
+        an ancestor's ALAP time is at most its descendants' but can equal
+        it (zero weights between them, or weights too small to survive the
+        rounding of a long critical path), and the descendant's shorter
+        list of ALAPs then sorts first.  Where the sorted keys are already
+        topological, the ready set pops them in exactly that order.
+        Descendant sets come from one reverse-topological bitmask sweep.
         """
         alap = alap_arr(graph, communication=True)
         masks = descendant_masks(gi)
@@ -97,7 +107,19 @@ class MCPScheduler(Scheduler):
                 m ^= lsb
             vals.sort()
             keys.append((tuple(vals), i))
-        return sorted(range(gi.n), key=keys.__getitem__)
+        indeg = list(gi.in_degree)
+        ready = [keys[i] for i in gi.source_ids]
+        heapify(ready)
+        rows = gi.succ_rows
+        order: list[int] = []
+        while ready:
+            _, i = heappop(ready)
+            order.append(i)
+            for j, _ in rows[i]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    heappush(ready, keys[j])
+        return order
 
     @staticmethod
     def priority_order(graph: TaskGraph) -> list[Task]:

@@ -91,6 +91,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any
 
+from ..clans.decomposition import discard_parse
 from ..core import wire
 from ..core.exceptions import ReproError
 from ..core.kernels import discard_index
@@ -198,14 +199,15 @@ class _GraphCache:
     """Size-bounded LRU of graph digest → decoded (and index-compiled)
     :class:`TaskGraph`, shared by the worker threads and the event loop.
 
-    A hit skips both the JSON decode and — because the compiled
-    :class:`~repro.core.kernels.GraphIndex` is memoized on the graph
-    object — the index compile.  Eviction calls
-    :func:`repro.core.kernels.discard_index` so a graph referenced
-    elsewhere does not pin its index forever.  Hits/misses/evictions are
-    counted as ``service.index_cache.*``.  Each entry also keeps the last
-    run time of every op on its graph (:meth:`last_seconds`), which decides
-    where the next such op runs.
+    A hit skips the JSON decode and — because the compiled
+    :class:`~repro.core.kernels.GraphIndex` and the clan parse are
+    memoized on the graph object — the index compile and, for CLANS, the
+    parse.  Eviction calls :func:`repro.core.kernels.discard_index` and
+    :func:`repro.clans.decomposition.discard_parse` so a graph referenced
+    elsewhere does not pin its index or parse forever.
+    Hits/misses/evictions are counted as ``service.index_cache.*``.  Each
+    entry also keeps the last run time of every op on its graph
+    (:meth:`last_seconds`), which decides where the next such op runs.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -234,6 +236,7 @@ class _GraphCache:
             while len(self._items) > self.capacity:
                 _, evicted = self._items.popitem(last=False)
                 discard_index(evicted.graph)
+                discard_parse(evicted.graph)
                 registry.inc("service.index_cache.evictions")
         return entry.graph
 

@@ -4,7 +4,9 @@ Every list heuristic is a preset of :mod:`repro.schedulers.listsched`: a
 task order plus a placement rule.  The references below are the
 per-heuristic loops the presets replaced, kept here as test-only oracles:
 
-* MCP's loop over its sorted priority list, counting idle-slot insertions;
+* MCP's loop over its priority list, counting idle-slot insertions, with
+  the list built by its definition: the ready task with the smallest
+  (own ALAP, sorted descendant ALAPs, id) key next, found by a scan;
 * MH's free heap drained before its event heap releases successors;
 * HU's and HLFET's free heaps with an in-degree countdown;
 * ETF's scan of the ready set, one ``best_processor`` call per ready task
@@ -32,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.analysis import b_levels_view
-from repro.core.kernels import IndexedPool, b_levels_arr, graph_index
+from repro.core.kernels import IndexedPool, alap_arr, b_levels_arr, graph_index
 from repro.core.machine import Machine
 from repro.core.schedule import Schedule
 from repro.core.wire import dumps
@@ -65,9 +67,32 @@ from test_golden import _suite_graphs
 # ----------------------------------------------------------------------
 # references: the per-heuristic loops
 # ----------------------------------------------------------------------
+def _reference_mcp_order(graph, gi):
+    """MCP's order by its definition: of the tasks whose predecessors are
+    all taken, the one with the smallest (own ALAP, sorted descendant
+    ALAPs, id) key, found by a scan of the ready set."""
+    alap = alap_arr(graph, communication=True)
+    keys = []
+    for i, t in enumerate(gi.tasks):
+        vals = [alap[i]] + [alap[gi.index_of[d]] for d in graph.descendants(t)]
+        keys.append((tuple(sorted(vals)), i))
+    waiting = list(gi.in_degree)
+    ready = {i for i in range(gi.n) if waiting[i] == 0}
+    order = []
+    while ready:
+        i = min(ready, key=keys.__getitem__)
+        ready.remove(i)
+        order.append(i)
+        for j, _ in gi.succ_rows[i]:
+            waiting[j] -= 1
+            if waiting[j] == 0:
+                ready.add(j)
+    return order
+
+
 def _reference_mcp(graph, insertion, max_processors):
     gi = graph_index(graph)
-    order = MCPScheduler._priority_order_ids(graph, gi)
+    order = _reference_mcp_order(graph, gi)
     pool = IndexedPool(gi, max_processors=max_processors)
     weights = gi.weights
     n_slot_insertions = 0

@@ -41,6 +41,47 @@ class TestPriorityOrder:
         assert order.index("y") < order.index("x")
 
 
+class TestTopologicalByConstruction:
+    """MCP takes its keys through a ready set, so ties and rounding in the
+    ALAP times cannot put a task before its predecessor."""
+
+    @staticmethod
+    def _check(g):
+        order = MCPScheduler.priority_order(g)
+        pos = {t: i for i, t in enumerate(order)}
+        assert all(pos[u] < pos[v] for u, v in g.edges())
+        for cap in (None, 2):
+            MCPScheduler(max_processors=cap).schedule(g).validate(g)
+
+    def test_zero_weight_chain(self):
+        """b and c tie on ALAP time 1, and c's key (1,) sorts before b's
+        (1, 1): a sort by key alone took c before b."""
+        g = TaskGraph()
+        for t, w in (("a", 1), ("b", 0), ("c", 0)):
+            g.add_task(t, w)
+        g.add_edge("a", "b", 0)
+        g.add_edge("b", "c", 0)
+        self._check(g)
+        assert MCPScheduler.priority_order(g) == ["a", "b", "c"]
+
+    def test_tiny_chain_beside_a_huge_one(self):
+        """Beside a 5e13 critical path, 1e-3 steps vanish in the ALAP
+        times' rounding, so the tiny chain's tasks tie; its later tasks
+        sorted first and started before their inputs arrived."""
+        g = TaskGraph()
+        for k in range(50):
+            g.add_task(("big", k), 1e12)
+            if k:
+                g.add_edge(("big", k - 1), ("big", k), 0.0)
+        for k in range(5):
+            g.add_task(("tiny", k), 1e-3)
+            if k:
+                g.add_edge(("tiny", k - 1), ("tiny", k), 1e-3)
+        alap = alap_times(g)
+        assert alap[("tiny", 3)] == alap[("tiny", 4)]  # the rounding tie
+        self._check(g)
+
+
 class TestPlacement:
     def test_chain_single_processor(self, chain5):
         s = MCPScheduler().schedule(chain5)

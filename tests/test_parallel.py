@@ -178,5 +178,5 @@ class TestPickling:
         g.add_edge("a", "b")
         g.topological_order()  # populate the memo
         g2 = pickle.loads(pickle.dumps(g))
-        assert g2._scratch == {}
+        assert not g2.has_cached("topological_order")
         assert g2.topological_order() == ["a", "b"]

@@ -3,7 +3,8 @@
 Meta-tests ensuring the library keeps its documentation and API-hygiene
 promises: every public module, class and function is documented; every
 registered scheduler is constructible with defaults; the registry and
-``__all__`` lists stay consistent.
+``__all__`` lists stay consistent; no module but ``core/taskgraph.py``
+touches ``TaskGraph``'s private tables.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -124,3 +127,29 @@ class TestCliListSubcommand:
         out = capsys.readouterr().out
         for name in SCHEDULER_REGISTRY:
             assert name in out
+
+
+class TestTaskGraphEncapsulation:
+    """Only ``core/taskgraph.py`` reads or writes ``TaskGraph``'s adjacency,
+    weight and memo tables.  The shape table is right only while every
+    structural edit goes through the four mutators (``add_task``,
+    ``add_edge``, ``remove_edge``, ``remove_task``), and a value memoized
+    in the wrong table could outlive an edit."""
+
+    TABLES = ("_succ", "_pred", "_weight", "_version_memo", "_shape_memo")
+
+    def test_no_module_touches_the_private_tables(self):
+        repo = Path(__file__).resolve().parent.parent
+        names = "|".join(t.lstrip("_") for t in self.TABLES)
+        # attribute access (g._succ) or a name handed to getattr/setattr
+        pattern = re.compile(rf"\._(?:{names})\b|[\"']_(?:{names})[\"']")
+        owner = repo / "src" / "repro" / "core" / "taskgraph.py"
+        offenders = []
+        for top in ("src", "tests", "benchmarks", "examples", "perfbench"):
+            for path in sorted((repo / top).rglob("*.py")):
+                if path in (owner, Path(__file__).resolve()):
+                    continue
+                for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                    if pattern.search(line):
+                        offenders.append(f"{path.relative_to(repo)}:{lineno}")
+        assert not offenders, offenders

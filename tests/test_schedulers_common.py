@@ -2,21 +2,56 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 
 from repro import (
     GraphError,
+    ScheduleError,
     TaskGraph,
     get_scheduler,
     paper_schedulers,
 )
 from repro.core.analysis import critical_path_length
+from repro.core.machine import Machine
+from repro.hetero import CPOPScheduler, HEFTScheduler, HeteroListScheduler
 from repro.schedulers import SCHEDULER_REGISTRY
+from repro.topology import PortAwareScheduler, Ring, TopologyMHScheduler
 
-from conftest import task_graphs
+from conftest import task_graphs, tie_graphs
 
 ALL_NAMES = ["CLANS", "DSC", "MCP", "MH", "HU", "ETF", "SERIAL"]
+
+
+def _every_scheduler():
+    """(label, scheduler) for every registered scheduler with its defaults,
+    its ``max_processors=2`` variant where it has one, and the machine
+    presets: HEFT, HMH and CPOP on speeds [1, 1, 2, 4], the topology MH on
+    ``Ring(4)`` and MH1P."""
+    out = [(name, cls()) for name, cls in sorted(SCHEDULER_REGISTRY.items())]
+    out += [
+        (f"{name}(max_processors=2)", cls(max_processors=2))
+        for name, cls in sorted(SCHEDULER_REGISTRY.items())
+        if "max_processors" in inspect.signature(cls).parameters
+    ]
+    speeds = Machine([1, 1, 2, 4])
+    out += [
+        ("HEFT[1, 1, 2, 4]", HEFTScheduler(speeds)),
+        ("HMH[1, 1, 2, 4]", HeteroListScheduler(speeds)),
+        ("CPOP[1, 1, 2, 4]", CPOPScheduler(speeds)),
+        ("MH@Ring(4)", TopologyMHScheduler(Machine(network=Ring(4)))),
+        ("MH1P", PortAwareScheduler()),
+    ]
+    return out
+
+
+#: The searches that run other schedulers many times, and the exact oracle.
+_COSTLY = ("GA", "SA", "OPT")
+EVERY_SCHEDULER = _every_scheduler()
+CHEAP = [(n, s) for n, s in EVERY_SCHEDULER if s.name not in _COSTLY]
+COSTLY = [(n, s) for n, s in EVERY_SCHEDULER if s.name in _COSTLY]
 
 
 @pytest.fixture(params=ALL_NAMES)
@@ -114,3 +149,29 @@ class TestPropertyAllSchedulers:
     def test_clans_never_retards(self, g):
         s = get_scheduler("CLANS").schedule(g)
         assert s.makespan <= g.serial_time() + 1e-9
+
+
+class TestEveryScheduleValid:
+    """Every scheduler emits a schedule that is valid on its own machine,
+    on graphs built for ties (zero weights, 1e-12 weights, equal levels)."""
+
+    @staticmethod
+    def _check(schedulers, g):
+        for label, scheduler in schedulers:
+            if scheduler.name == "OPT" and g.n_tasks > 10:
+                continue  # OPT refuses larger graphs
+            schedule = scheduler.schedule(g)
+            try:
+                schedule.validate(g, getattr(scheduler, "machine", None))
+            except ScheduleError as exc:
+                raise AssertionError(f"{label}: {exc}") from exc
+
+    @given(g=tie_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_list_and_clustering_schedulers(self, g):
+        self._check(CHEAP, g)
+
+    @given(g=tie_graphs())
+    @settings(max_examples=20, deadline=None)
+    def test_searches_and_the_oracle(self, g):
+        self._check(COSTLY, g)

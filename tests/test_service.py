@@ -551,12 +551,17 @@ class TestLoopExecution:
                 assert wire.dumps(reply2) == wire.dumps(expect)
 
     def test_health_answers_while_the_worker_is_busy(self):
+        """The health reply waits for the loop's turn at the interpreter
+        lock, a few switch intervals, not for GA's run.  The bound is a
+        share of the GA op's own duration in the same run, so a loaded host,
+        which stretches both, does not decide it."""
         with ServerThread(port=0, threads=1) as st:
 
             async def run():
                 from repro.service.client import AsyncServiceClient
 
                 async with AsyncServiceClient(st.address) as ac:
+                    sent = time.perf_counter()
                     slow = asyncio.ensure_future(
                         ac.schedule(gaussian_elimination(24), "GA")
                     )
@@ -567,12 +572,12 @@ class TestLoopExecution:
                     waited = time.perf_counter() - t0
                     busy = not slow.done()
                     await slow
-                    return health, waited, busy
+                    return health, waited, busy, time.perf_counter() - sent
 
-            health, waited, busy = asyncio.run(run())
+            health, waited, busy, ga_s = asyncio.run(run())
         assert health["status"] == "ok"
         assert busy  # the reply came while GA still held the worker
-        assert waited < 0.05
+        assert waited < ga_s / 4
 
     def test_op_over_the_budget_stays_on_the_worker(self, monkeypatch):
         g = fork_join(4)

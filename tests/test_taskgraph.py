@@ -296,7 +296,8 @@ class TestDerivedValueCache:
 
     def test_topological_order_is_memoized(self, diamond):
         first = diamond.topological_order()
-        assert diamond._scratch["topological_order"] is not first  # copies out
+        memo = diamond.shape_cached("topological_order", lambda: 1 / 0)  # a hit
+        assert memo == first and memo is not first  # copies out
         assert diamond.topological_order() == first
 
     def test_cached_returns_shared_value_until_mutation(self, diamond):
@@ -332,9 +333,9 @@ class TestDerivedValueCache:
 
     def test_validate_memoized_but_invalidated(self, diamond):
         diamond.validate()
-        assert diamond._scratch.get("validated") is True
+        assert diamond.has_cached("validated")
         diamond.add_task("z")
-        assert "validated" not in diamond._scratch
+        assert not diamond.has_cached("validated")
         diamond.validate()
 
     def test_returned_order_is_caller_owned(self, diamond):
